@@ -8,7 +8,11 @@ where g is the straight line through the endpoint values. The factor
 vanishes at both endpoints, so the composition hits (x_a, y_a) and
 (x_b, y_b) for any family parameters. The exponents are stored as
 rho with m = exp(rho), keeping them positive under unconstrained
-optimization; their gradient rows are appended after the family block.
+optimization.
+
+`compose_final_many` owns the flat parameter layout: the family
+parameters, then rho_a and rho_b. The family and the boundary factor each
+return only their own gradient rows.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationOverflowError
-from .families import Jet, family_jet_many, param_count
+from .families import _first_jet, family_jet_many, param_count
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,8 @@ class BoundaryCondition:
     y_b: float
 
     def __post_init__(self):
+        if not all(np.isfinite([self.x_a, self.x_b, self.y_a, self.y_b])):
+            raise ValueError(f"boundary values must be finite, got {self}")
         if not self.x_b - self.x_a > 0:
             raise ValueError(f"need x_a < x_b, got [{self.x_a}, {self.x_b}]")
 
@@ -54,8 +60,8 @@ def _check_inside(bc, xs):
         raise DomainError(f"x = {bad} outside the open interval ({bc.x_a}, {bc.x_b})")
 
 
-def boundary_factor_many(bc, rho_a, rho_b, xs, p_total=2, offset=0):
-    """Vectorized jet of the boundary factor; gradient rows are (rho_a, rho_b)."""
+def boundary_factor_many(bc, rho_a, rho_b, xs):
+    """Vectorized jet of the boundary factor; the two gradient rows are (rho_a, rho_b)."""
     xs = np.asarray(xs, dtype=float)
     _check_inside(bc, xs)
     u = xs - bc.x_a
@@ -65,21 +71,16 @@ def boundary_factor_many(bc, rho_a, rho_b, xs, p_total=2, offset=0):
     fac = u ** m_a * v ** m_b
     logistic = m_a / u - m_b / v  # d/dx of log(fac)
     dfac = fac * logistic
-    gy = np.zeros((p_total, xs.shape[0]))
-    gdy = np.zeros((p_total, xs.shape[0]))
     lu = np.log(u)
     lv = np.log(v)
-    gy[offset] = fac * m_a * lu
-    gy[offset + 1] = fac * m_b * lv
-    gdy[offset] = fac * m_a * (lu * logistic + 1.0 / u)
-    gdy[offset + 1] = fac * m_b * (lv * logistic - 1.0 / v)
+    gy = np.array([fac * m_a * lu, fac * m_b * lv])
+    gdy = np.array([fac * m_a * (lu * logistic + 1.0 / u), fac * m_b * (lv * logistic - 1.0 / v)])
     return fac, dfac, gy, gdy
 
 
 def boundary_factor_jet(bc, exps, x):
     """Jet of (x - x_a)^m_a (x_b - x)^m_b at scalar x, gradients w.r.t. rho."""
-    y, dy, gy, gdy = boundary_factor_many(bc, exps.rho_a, exps.rho_b, np.array([float(x)]))
-    return Jet(float(y[0]), float(dy[0]), gy[:, 0].copy(), gdy[:, 0].copy())
+    return _first_jet(*boundary_factor_many(bc, exps.rho_a, exps.rho_b, np.array([float(x)])))
 
 
 def linear_interpolant(bc, x):
@@ -96,19 +97,22 @@ def linear_interpolant(bc, x):
 def compose_final_many(spec, params, rho_a, rho_b, bc, xs):
     """Vectorized jet of the boundary-conforming composition.
 
-    `params` is the flat family vector; the concatenated gradient layout is
-    (family params..., rho_a, rho_b), total param_count(spec) + 2 rows.
+    `params` is the flat family vector; the gradient rows are
+    (family params..., rho_a, rho_b), param_count(spec) + 2 in all.
     """
     xs = np.asarray(xs, dtype=float)
     pf = param_count(spec)
-    p_total = pf + 2
-    fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs, p_total=p_total)
-    by, bdy, bgy, bgdy = boundary_factor_many(bc, rho_a, rho_b, xs, p_total=p_total, offset=pf)
+    fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs)
+    by, bdy, bgy, bgdy = boundary_factor_many(bc, rho_a, rho_b, xs)
     gval, gslope = linear_interpolant(bc, xs)
     y = fy * by + gval
     dy = fdy * by + fy * bdy + gslope
-    gy = fgy * by + fy * bgy
-    gdy = fgdy * by + fgy * bdy + fdy * bgy + fy * bgdy
+    gy = np.empty((pf + 2, xs.shape[0]))
+    gdy = np.empty((pf + 2, xs.shape[0]))
+    gy[:pf] = fgy * by
+    gy[pf:] = fy * bgy
+    gdy[:pf] = fgdy * by + fgy * bdy
+    gdy[pf:] = fdy * bgy + fy * bgdy
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
             and np.all(np.isfinite(gy)) and np.all(np.isfinite(gdy))):
         raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
@@ -117,5 +121,4 @@ def compose_final_many(spec, params, rho_a, rho_b, bc, xs):
 
 def compose_final(spec, params, exps, bc, x):
     """Scalar jet of y_family * boundary_factor + interpolant at x."""
-    y, dy, gy, gdy = compose_final_many(spec, params, exps.rho_a, exps.rho_b, bc, np.array([float(x)]))
-    return Jet(float(y[0]), float(dy[0]), gy[:, 0].copy(), gdy[:, 0].copy())
+    return _first_jet(*compose_final_many(spec, params, exps.rho_a, exps.rho_b, bc, np.array([float(x)])))

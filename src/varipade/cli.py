@@ -216,16 +216,16 @@ def cmd_bench(args):
                 parse_structure(s)
             except VaripadeError as exc:
                 raise CliError(str(exc))
-    config = TrainConfig(
-        algorithm=args.algorithm,
-        learning_rate=args.lr,
-        steps=args.steps,
-        grid_n=args.samples,
-        grid_mode=args.grid_mode,
-        seed=args.seed if args.seed is not None else _default_seed(),
-        record_every=args.record_every,
-        precondition=not args.no_precondition,
-    )
+    config = _train_config_from_dict({
+        "algorithm": args.algorithm,
+        "learning_rate": args.lr,
+        "steps": args.steps,
+        "grid_n": args.samples,
+        "grid_mode": args.grid_mode,
+        "seed": args.seed if args.seed is not None else _default_seed(),
+        "record_every": args.record_every,
+        "precondition": not args.no_precondition,
+    })
     os.makedirs(args.out, exist_ok=True)
     matrix = run_matrix(cases, structures, config, n_seeds=args.seeds, parallel=args.parallel)
     any_failed = False

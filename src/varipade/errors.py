@@ -14,7 +14,7 @@ class ExpressionSyntaxError(VaripadeError):
 
 
 class UnknownIdentifierError(VaripadeError):
-    """Identifier outside the allowed set {x, y, dy, pi, sqrt, sin, cos, exp}."""
+    """Identifier that names no variable (x, y, dy), constant (pi) or integrand function."""
 
     def __init__(self, name, offset):
         super().__init__(f"unknown identifier {name!r} (at offset {offset})")

@@ -7,8 +7,10 @@ Grammar (infix, `^` is power, right associative):
     unary  := '-' unary | power
     power  := atom ('^' unary)?
     atom   := NUMBER | 'x' | 'y' | 'dy' | 'pi'
-            | ('sqrt'|'sin'|'cos'|'exp') '(' expr ')'
+            | FUNCTION '(' expr ')'
             | '(' expr ')'
+
+where FUNCTION is a name in the `_FUNCTIONS` table below.
 
 Trees are immutable; evaluation is pure and vectorizes over numpy arrays.
 Partials are propagated by forward mode with two tangent slots (y and dy).
@@ -19,14 +21,36 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, ExpressionSyntaxError, UnknownIdentifierError
 
 _DIV_FLOOR = 1e-300
-_FUNCTIONS = ("sqrt", "sin", "cos", "exp")
 _VARIABLES = ("x", "y", "dy")
+
+
+@dataclass(frozen=True)
+class _Function:
+    value: Callable  # u -> f(u)
+    derivative: Callable  # (u, f(u)) -> f'(u)
+    domain: Optional[Callable] = None  # u -> mask of arguments outside the domain
+    domain_error: str = ""
+
+
+_FUNCTIONS = {
+    "sqrt": _Function(np.sqrt, lambda u, r: 0.5 / r, lambda u: u < 0, "sqrt of negative value"),
+    "sin": _Function(np.sin, lambda u, r: np.cos(u)),
+    "cos": _Function(np.cos, lambda u, r: -np.sin(u)),
+    "tan": _Function(np.tan, lambda u, r: 1.0 + r * r),
+    "exp": _Function(np.exp, lambda u, r: r),
+    "log": _Function(np.log, lambda u, r: 1.0 / u, lambda u: u <= 0, "log of nonpositive value"),
+    "abs": _Function(np.abs, lambda u, r: np.sign(u)),
+    "sinh": _Function(np.sinh, lambda u, r: np.cosh(u)),
+    "cosh": _Function(np.cosh, lambda u, r: np.sinh(u)),
+    "tanh": _Function(np.tanh, lambda u, r: 1.0 - r * r),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +81,7 @@ class Neg:
 
 @dataclass(frozen=True)
 class Call:
-    fn: str  # one of sqrt, sin, cos, exp
+    fn: str  # a name in _FUNCTIONS
     arg: object
 
 
@@ -249,26 +273,6 @@ def _is_const_tree(node):
     return _is_const_tree(node.left) and _is_const_tree(node.right)
 
 
-def _const_value(node):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Neg):
-        return -_const_value(node.arg)
-    if isinstance(node, Call):
-        v = _const_value(node.arg)
-        return getattr(math, node.fn)(v)
-    a, b = _const_value(node.left), _const_value(node.right)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        return a / b
-    return a ** b
-
-
 def _first_bad(x, mask):
     idx = int(np.argmax(mask))
     return float(np.asarray(x).reshape(-1)[idx] if np.ndim(x) else x)
@@ -291,19 +295,16 @@ def _eval_node(node, x, y, dy):
         return -v, -ty, -tdy
     if isinstance(node, Call):
         v, ty, tdy = _eval_node(node.arg, x, y, dy)
-        if node.fn == "sqrt":
-            if np.any(v < 0):
-                raise DomainError(f"sqrt of negative value near x = {_first_bad(x, v < 0)}")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.sqrt(v)
-                d = 0.5 / r
+        fn = _FUNCTIONS[node.fn]
+        if fn.domain is not None:
+            bad = fn.domain(v)
+            if np.any(bad):
+                raise DomainError(f"{fn.domain_error} near x = {_first_bad(x, bad)}")
+        # an infinite or NaN result is reported by the finiteness check at the end
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = fn.value(v)
+            d = fn.derivative(v, r)
             return r, d * ty, d * tdy
-        if node.fn == "sin":
-            return np.sin(v), np.cos(v) * ty, np.cos(v) * tdy
-        if node.fn == "cos":
-            return np.cos(v), -np.sin(v) * ty, -np.sin(v) * tdy
-        e = np.exp(v)
-        return e, e * ty, e * tdy
     # BinOp
     a, ay, ady = _eval_node(node.left, x, y, dy)
     if node.op == "^":
@@ -323,9 +324,20 @@ def _eval_node(node, x, y, dy):
     return v, (ay - v * by) / b, (ady - v * bdy) / b
 
 
+def _const_exponent(node, x):
+    """Value of an exponent without variables, checked to be finite."""
+    # the value does not depend on x; evaluating at the first point names it in errors
+    at = x.reshape(-1)[:1] if x.size else np.zeros(1)
+    v, _, _ = _eval_node(node, at, at, at)
+    p = float(v[0])
+    if not math.isfinite(p):
+        raise DomainError(f"non-finite constant exponent near x = {float(at[0])}")
+    return p
+
+
 def _eval_pow(node, a, ay, ady, x, y, dy):
     if _is_const_tree(node.right):
-        p = _const_value(node.right)
+        p = _const_exponent(node.right, x)
         if p == 0:
             one = np.ones_like(a)
             z = np.zeros_like(a)

@@ -143,8 +143,7 @@ def init_params(spec, seed, domain=(-1.0, 1.0)):
 
 
 # ---------------------------------------------------------------------------
-# Per-family jets (vectorized over x; gradients written at a row offset so
-# the boundary composition can share one concatenated parameter space)
+# Per-family jets (vectorized over x)
 # ---------------------------------------------------------------------------
 
 def _powers(xs, deg):
@@ -172,7 +171,7 @@ def legendre_table(deg, xs):
     return p, dp
 
 
-def _pade_jet(spec, theta, xs, gy, gdy, off):
+def _pade_jet(spec, theta, xs, gy, gdy):
     m, n = spec.pade_m, spec.pade_n
     w = theta[:m]
     b1 = theta[m]
@@ -190,20 +189,20 @@ def _pade_jet(spec, theta, xs, gy, gdy, off):
     inv2 = inv * inv
     y = num * inv
     dy = dnum * inv - num * dden * inv2
-    gy[off : off + m] = p[:m] * inv
-    gy[off + m] = inv
-    gy[off + m + 1 : off + m + 1 + n] = -num * p[:n] * inv2
-    gy[off + m + 1 + n] = -num * inv2
-    gdy[off : off + m] = dp[:m] * inv - p[:m] * dden * inv2
-    gdy[off + m] = -dden * inv2
-    gdy[off + m + 1 : off + m + 1 + n] = (
+    gy[:m] = p[:m] * inv
+    gy[m] = inv
+    gy[m + 1 : m + 1 + n] = -num * p[:n] * inv2
+    gy[m + 1 + n] = -num * inv2
+    gdy[:m] = dp[:m] * inv - p[:m] * dden * inv2
+    gdy[m] = -dden * inv2
+    gdy[m + 1 : m + 1 + n] = (
         -dnum * p[:n] * inv2 - num * dp[:n] * inv2 + 2.0 * num * dden * p[:n] * inv2 * inv
     )
-    gdy[off + m + 1 + n] = -dnum * inv2 + 2.0 * num * dden * inv2 * inv
+    gdy[m + 1 + n] = -dnum * inv2 + 2.0 * num * dden * inv2 * inv
     return y, dy
 
 
-def _poly_jet(spec, theta, xs, gy, gdy, off, basis=None):
+def _poly_jet(spec, theta, xs, gy, gdy, basis=None):
     deg = spec.degree
     if basis is None:
         p, dp = _powers(xs, deg)
@@ -212,13 +211,13 @@ def _poly_jet(spec, theta, xs, gy, gdy, off, basis=None):
     w = theta[:deg]
     y = w @ p + theta[deg]
     dy = w @ dp
-    gy[off : off + deg] = p
-    gy[off + deg] = 1.0
-    gdy[off : off + deg] = dp
+    gy[:deg] = p
+    gy[deg] = 1.0
+    gdy[:deg] = dp
     return y, dy
 
 
-def _rbf_jet(spec, theta, xs, gy, gdy, off):
+def _rbf_jet(spec, theta, xs, gy, gdy):
     l = spec.centers
     w = theta[:l]
     c = theta[l : 2 * l]
@@ -231,22 +230,22 @@ def _rbf_jet(spec, theta, xs, gy, gdy, off):
     wc = w[:, None]
     y = w @ phi + b
     dy = w @ phix
-    gy[off : off + l] = phi
-    gy[off + l : off + 2 * l] = wc * phi * u / s
-    gy[off + 2 * l : off + 3 * l] = wc * phi * u * u / (2.0 * s)
-    gy[off + 3 * l] = 1.0
-    gdy[off : off + l] = phix
-    gdy[off + l : off + 2 * l] = wc * phi * (1.0 / s - u * u / (s * s))
-    gdy[off + 2 * l : off + 3 * l] = wc * (phi * u / s - phi * u ** 3 / (2.0 * s * s))
+    gy[:l] = phi
+    gy[l : 2 * l] = wc * phi * u / s
+    gy[2 * l : 3 * l] = wc * phi * u * u / (2.0 * s)
+    gy[3 * l] = 1.0
+    gdy[:l] = phix
+    gdy[l : 2 * l] = wc * phi * (1.0 / s - u * u / (s * s))
+    gdy[2 * l : 3 * l] = wc * (phi * u / s - phi * u ** 3 / (2.0 * s * s))
     return y, dy
 
 
-def _mlp_jet(spec, theta, xs, gy, gdy, off, p_total):
+def _mlp_jet(spec, theta, xs, gy, gdy):
     n = xs.shape[0]
     h = xs[None, :]
     hx = np.ones((1, n))
-    g = np.zeros((p_total, 1, n))
-    gx = np.zeros((p_total, 1, n))
+    g = np.zeros((gy.shape[0], 1, n))
+    gx = np.zeros((gy.shape[0], 1, n))
     o = 0
     for width, act in spec.layers:
         prev = h.shape[0]
@@ -257,9 +256,9 @@ def _mlp_jet(spec, theta, xs, gy, gdy, off, p_total):
         ga = np.einsum("ij,pjn->pin", wmat, g)
         gax = np.einsum("ij,pjn->pin", wmat, gx)
         rows = np.arange(width * prev)
-        ga[off + o + rows, rows // prev, :] += h[rows % prev, :]
-        gax[off + o + rows, rows // prev, :] += hx[rows % prev, :]
-        ga[off + o + width * prev, :, :] += 1.0
+        ga[o + rows, rows // prev, :] += h[rows % prev, :]
+        gax[o + rows, rows // prev, :] += hx[rows % prev, :]
+        ga[o + width * prev, :, :] += 1.0
         if act == "sigmoid":
             s = 1.0 / (1.0 + np.exp(-a))
             s1 = s * (1.0 - s)
@@ -280,43 +279,38 @@ def _mlp_jet(spec, theta, xs, gy, gdy, off, p_total):
     dy = wout @ hx
     gy[:] += np.einsum("i,pin->pn", wout, g)
     gdy[:] += np.einsum("i,pin->pn", wout, gx)
-    gy[off + o : off + o + width] += h
-    gy[off + o + width] += 1.0
-    gdy[off + o : off + o + width] += hx
+    gy[o : o + width] += h
+    gy[o + width] += 1.0
+    gdy[o : o + width] += hx
     return y, dy
 
 
-def family_jet_many(spec, params, xs, p_total=None, offset=0):
+def family_jet_many(spec, params, xs):
     """Vectorized jet over an array of x values.
 
     Returns (y, dy_dx, grad_y, grad_dy_dx) with shapes (N,), (N,),
-    (p_total, N), (p_total, N). Gradient rows are written starting at
-    `offset`, which lets callers embed the family in a wider parameter
-    vector (boundary exponents are appended after the family block).
+    (P, N), (P, N), where P = param_count(spec); only the first P
+    entries of `params` are read.
     """
     xs = np.asarray(xs, dtype=float)
     theta = np.asarray(params, dtype=float)
     pf = param_count(spec)
-    if theta.shape[0] < offset + pf:
-        raise ValueError(
-            f"parameter vector of length {theta.shape[0]} too short for {spec} at offset {offset}"
-        )
-    if p_total is None:
-        p_total = offset + pf
-    gy = np.zeros((p_total, xs.shape[0]))
-    gdy = np.zeros((p_total, xs.shape[0]))
-    local = theta[offset : offset + pf]
+    if theta.shape[0] < pf:
+        raise ValueError(f"parameter vector of length {theta.shape[0]} too short for {spec}")
+    gy = np.zeros((pf, xs.shape[0]))
+    gdy = np.zeros((pf, xs.shape[0]))
+    theta = theta[:pf]
     if spec.kind == "Pade":
-        y, dy = _pade_jet(spec, local, xs, gy, gdy, offset)
+        y, dy = _pade_jet(spec, theta, xs, gy, gdy)
     elif spec.kind == "Poly":
-        y, dy = _poly_jet(spec, local, xs, gy, gdy, offset)
+        y, dy = _poly_jet(spec, theta, xs, gy, gdy)
     elif spec.kind == "Leg":
         p, dp = legendre_table(spec.degree, xs)
-        y, dy = _poly_jet(spec, local, xs, gy, gdy, offset, basis=(p[1:], dp[1:]))
+        y, dy = _poly_jet(spec, theta, xs, gy, gdy, basis=(p[1:], dp[1:]))
     elif spec.kind == "RBF":
-        y, dy = _rbf_jet(spec, local, xs, gy, gdy, offset)
+        y, dy = _rbf_jet(spec, theta, xs, gy, gdy)
     elif spec.kind == "MLP":
-        y, dy = _mlp_jet(spec, local, xs, gy, gdy, offset, p_total)
+        y, dy = _mlp_jet(spec, theta, xs, gy, gdy)
     else:
         raise InvalidStructureError(f"unknown family kind {spec.kind!r}")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
@@ -325,7 +319,11 @@ def family_jet_many(spec, params, xs, p_total=None, offset=0):
     return y, dy, gy, gdy
 
 
+def _first_jet(y, dy, gy, gdy):
+    """The scalar Jet of the first point of a vectorized jet."""
+    return Jet(float(y[0]), float(dy[0]), gy[:, 0].copy(), gdy[:, 0].copy())
+
+
 def eval_jet(spec, params, x):
     """Jet of the bare family (no boundary composition) at scalar x."""
-    y, dy, gy, gdy = family_jet_many(spec, params, np.array([float(x)]))
-    return Jet(float(y[0]), float(dy[0]), gy[:, 0].copy(), gdy[:, 0].copy())
+    return _first_jet(*family_jet_many(spec, params, np.array([float(x)])))

@@ -55,11 +55,12 @@ def sample_grid(bc, n, mode="midpoint", seed=0):
 
 
 def loss_and_grad(problem, spec, params, exps, grid):
-    """Midpoint-rule loss and its exact gradient over (family params, rho_a, rho_b)."""
-    rho_a = exps.rho_a if hasattr(exps, "rho_a") else float(exps[0])
-    rho_b = exps.rho_b if hasattr(exps, "rho_b") else float(exps[1])
+    """Midpoint-rule loss and its exact gradient over (family params, rho_a, rho_b).
+
+    `exps` is a BoundaryExponents.
+    """
     xs = grid.points
-    y, dy, gy, gdy = compose_final_many(spec, params, rho_a, rho_b, problem.bc, xs)
+    y, dy, gy, gdy = compose_final_many(spec, params, exps.rho_a, exps.rho_b, problem.bc, xs)
     f, f_y, f_dy = eval_integrand_many(problem.integrand, xs, y, dy)
     loss = grid.weight * float(np.sum(f))
     grad = grid.weight * (gy @ f_y + gdy @ f_dy)

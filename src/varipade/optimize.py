@@ -8,6 +8,8 @@ mid-run produces a failed report instead of an exception).
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -48,10 +50,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ("adam", "sgd"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.grid_mode not in ("midpoint", "random"):
+            raise ValueError(f"unknown grid_mode {self.grid_mode!r}")
+        for name in ("steps", "grid_n", "record_every", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValueError("Adam betas must lie in (0, 1)")
         if self.adam_eps <= 0:
@@ -125,7 +135,7 @@ def train(problem, spec, config=TrainConfig()):
     status = "max_steps"
     reason = None
     loss = float("nan")
-    exps = _ExpView(theta)
+    exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
     steps_done = 0
     try:
         for step in range(config.steps):
@@ -145,7 +155,7 @@ def train(problem, spec, config=TrainConfig()):
             theta = theta + step_scale * (new_theta - theta)
             lo, hi = config.exponent_bounds
             theta[pf:] = np.clip(theta[pf:], np.log(lo), np.log(hi))
-            exps = _ExpView(theta)
+            exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
             if config.early_stop and _stalled(history, step, config):
                 status = "converged"
                 break
@@ -188,16 +198,6 @@ def _sensitivity_scale(problem, spec, theta, grid):
     scale = 1.0 / np.maximum(rms, 1.0)
     scale[pf:] = 1.0
     return scale
-
-
-class _ExpView:
-    """Exponent view over the tail of the flat parameter vector."""
-
-    __slots__ = ("rho_a", "rho_b")
-
-    def __init__(self, theta):
-        self.rho_a = float(theta[-2])
-        self.rho_b = float(theta[-1])
 
 
 def _stalled(history, step, config):

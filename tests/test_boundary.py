@@ -14,6 +14,7 @@ from varipade import (
     param_count,
     parse_structure,
 )
+from test_families import ALL_FAMILIES
 
 
 class TestBoundaryCondition:
@@ -22,6 +23,16 @@ class TestBoundaryCondition:
             BoundaryCondition(1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             BoundaryCondition(2.0, -1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("values", [
+        (0.0, np.inf, 0.0, 0.0),
+        (-np.inf, 1.0, 0.0, 0.0),
+        (0.0, 1.0, np.nan, 0.0),
+        (0.0, 1.0, 0.0, -np.inf),
+    ])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ValueError):
+            BoundaryCondition(*values)
 
     def test_exponent_reparameterization(self):
         assert BoundaryExponents(0.0, 0.0).m_a == 1.0
@@ -135,8 +146,9 @@ class TestComposition:
             assert abs(y[0] - bc.y_a) <= 1e-9
             assert abs(y[1] - bc.y_b) <= 1e-9
 
-    def test_full_gradient_matches_finite_differences(self, rng):
-        spec = parse_structure("Pade-[2/2]")
+    @pytest.mark.parametrize("structure", ["Pade-[2/2]"] + ALL_FAMILIES)
+    def test_full_gradient_matches_finite_differences(self, structure, rng):
+        spec = parse_structure(structure)
         bc = BoundaryCondition(0.0, 1.0, 0.0, 2.0)
         pf = param_count(spec)
         h = 1e-6

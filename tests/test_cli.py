@@ -88,6 +88,12 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert read_summary(tmp_path / "second")["j_final"] == summary["j_final"]
 
+    def test_negative_seed(self, tmp_path, capsys):
+        code = main(["run", "--problem", "sine-source", "--structure", "Poly-3",
+                     "--out", str(tmp_path / "x")] + FAST + ["--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad train config")
+
     def test_bad_config_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -124,6 +130,13 @@ class TestBench:
         code = main(["bench", "--cases", "1", "--structures", "Frob-2",
                      "--out", str(tmp_path / "x")] + FAST)
         assert code == 1
+
+    @pytest.mark.parametrize("flags", [["--lr", "0"], ["--lr", "nan"], ["--seed", "-1"]])
+    def test_bad_train_flags(self, tmp_path, capsys, flags):
+        code = main(["bench", "--cases", "1", "--structures", "Poly-3",
+                     "--out", str(tmp_path / "x")] + FAST + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad train config")
 
     def test_multi_seed(self, tmp_path):
         out = tmp_path / "seeds"

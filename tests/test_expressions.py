@@ -89,6 +89,20 @@ class TestEvaluation:
         assert out.value == -8.0
         assert out.dF_dy == 12.0
 
+    @pytest.mark.parametrize("text", ["y^(1/0)", "y^(0^(0-1))", "y^(sqrt(0-1))", "y^(exp(1000))"])
+    def test_bad_constant_exponent_raises_domain_error(self, text):
+        with pytest.raises(DomainError):
+            eval_integrand(parse_integrand(text), 0.5, 0.7, -0.3)
+
+    def test_constant_exponent_expression(self):
+        out = eval_integrand(parse_integrand("y^(2 * 3 - 4)"), 0.0, 3.0, 0.0)
+        assert (out.value, out.dF_dy) == (9.0, 6.0)
+
+    @pytest.mark.parametrize("y", [0.0, -1.5])
+    def test_log_of_nonpositive_raises(self, y):
+        with pytest.raises(DomainError):
+            eval_integrand(parse_integrand("log(y)"), 0.0, y, 0.0)
+
     def test_determinism(self):
         expr = parse_integrand("sqrt(1 + dy^2) * exp(x) - cos(y)")
         a = eval_integrand(expr, 0.3, -0.7, 1.1)
@@ -104,6 +118,13 @@ INTEGRANDS = [
     "dy^2 - y^2 - 2*x*y",
     "exp(x) * sin(y) + cos(dy) / (4.5 + y)",
     "(1 + y^2)^1.5 - dy^4 / 7",
+    # the README's functions beyond sqrt sin cos exp, with arguments inside their domains
+    "tan(0.3 * y) * dy",
+    "log(2.5 + y) * dy^2",
+    "abs(y - dy) + x",
+    "sinh(y) * dy",
+    "cosh(dy) - y",
+    "tanh(x * y) * dy",
 ]
 
 

@@ -34,6 +34,14 @@ class TestConfig:
         {"record_every": 0},
         {"exponent_bounds": (0.0, 4.0)},
         {"exponent_bounds": (2.0, 4.0)},
+        {"grid_mode": "bogus"},
+        {"steps": 2.5},
+        {"grid_n": 2.5},
+        {"record_every": 10.0},
+        {"seed": -1},
+        {"seed": 0.5},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -136,6 +144,13 @@ class TestTrain:
         assert report.status == "failed"
         assert report.failure_reason
         assert len(report.loss_history) >= 1
+
+    def test_non_finite_constant_exponent_is_reported_not_raised(self):
+        problem = Problem(parse_integrand("dy^2 + y^(1/0)"),
+                          BoundaryCondition(0.0, 1.0, 0.0, 1.0), name="doomed")
+        report = train(problem, parse_structure("Poly-2"), _tiny_config())
+        assert report.status == "failed"
+        assert "divisor" in report.failure_reason
 
     def test_random_grid_mode_runs(self):
         case = builtin_cases()[4]
