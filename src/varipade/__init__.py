@@ -38,7 +38,7 @@ from .families import (
     param_count,
     parse_structure,
 )
-from .loss import Problem, SampleGrid, functional_value, loss_and_grad, sample_grid
+from .loss import Plan, Problem, SampleGrid, functional_value, loss_and_grad, sample_grid
 from .optimize import AdamState, TrainConfig, TrainReport, adam_step, sgd_step, train
 from .problems import (
     BenchmarkCase,

@@ -10,9 +10,11 @@ vanishes at both endpoints, so the composition hits (x_a, y_a) and
 rho with m = exp(rho), keeping them positive under unconstrained
 optimization.
 
-`compose_final_many` owns the flat parameter layout: the family
-parameters, then rho_a and rho_b. The family and the boundary factor each
-return only their own gradient rows.
+The flat parameter layout is the family parameters, then rho_a and rho_b.
+`compose_final_many` is the forward jet of the composition: dense gradient
+rows, kept for evaluation, the step preconditioner and as the test oracle.
+Training pulls the loss back through `BoundaryTables.compose` instead, on
+tables computed once per grid.
 """
 
 from __future__ import annotations
@@ -60,21 +62,61 @@ def _check_inside(bc, xs):
         raise DomainError(f"x = {bad} outside the open interval ({bc.x_a}, {bc.x_b})")
 
 
+class BoundaryTables:
+    """What the composition reads from the grid alone, computed once per grid.
+
+    u = x - x_a and v = x_b - x, their logs and reciprocals, and the
+    interpolant g with its slope.
+    """
+
+    def __init__(self, bc, xs):
+        _check_inside(bc, xs)
+        self.u = xs - bc.x_a
+        self.v = bc.x_b - xs
+        self.log_u = np.log(self.u)
+        self.log_v = np.log(self.v)
+        self.inv_u = 1.0 / self.u
+        self.inv_v = 1.0 / self.v
+        self.gval, self.gslope = linear_interpolant(bc, xs)
+
+    def factor(self, rho_a, rho_b):
+        """(m_a, m_b, factor, d/dx of log(factor)) at exponents exp(rho)."""
+        m_a = np.exp(rho_a)
+        m_b = np.exp(rho_b)
+        fac = self.u ** m_a * self.v ** m_b
+        return m_a, m_b, fac, m_a / self.u - m_b / self.v
+
+    def compose(self, fy, fdy, rho_a, rho_b):
+        """Composed y, dy from family values fy, fdy, and the pullback of a loss.
+
+        pullback(cy, cdy), with cy and cdy the loss's weights on y and dy,
+        returns the family's weights (c1, c2) on fy and fdy and the gradient
+        over (rho_a, rho_b).
+        """
+        m_a, m_b, fac, logistic = self.factor(rho_a, rho_b)
+        dfac = fac * logistic
+        y = fy * fac + self.gval
+        dy = fdy * fac + fy * dfac + self.gslope
+
+        def pullback(cy, cdy):
+            # the exponent rows of boundary_factor_many against fy*cy + fdy*cdy and fy*cdy
+            s1 = fac * (fy * cy + fdy * cdy)
+            s2 = fac * (fy * cdy)
+            t = s1 + logistic * s2
+            grad = np.array([m_a * (self.log_u @ t + self.inv_u @ s2),
+                             m_b * (self.log_v @ t - self.inv_v @ s2)])
+            return cy * fac + cdy * dfac, cdy * fac, grad
+
+        return y, dy, pullback
+
+
 def boundary_factor_many(bc, rho_a, rho_b, xs):
     """Vectorized jet of the boundary factor; the two gradient rows are (rho_a, rho_b)."""
-    xs = np.asarray(xs, dtype=float)
-    _check_inside(bc, xs)
-    u = xs - bc.x_a
-    v = bc.x_b - xs
-    m_a = np.exp(rho_a)
-    m_b = np.exp(rho_b)
-    fac = u ** m_a * v ** m_b
-    logistic = m_a / u - m_b / v  # d/dx of log(fac)
+    t = BoundaryTables(bc, np.asarray(xs, dtype=float))
+    m_a, m_b, fac, logistic = t.factor(rho_a, rho_b)  # logistic: d/dx of log(fac)
     dfac = fac * logistic
-    lu = np.log(u)
-    lv = np.log(v)
-    gy = np.array([fac * m_a * lu, fac * m_b * lv])
-    gdy = np.array([fac * m_a * (lu * logistic + 1.0 / u), fac * m_b * (lv * logistic - 1.0 / v)])
+    gy = np.array([fac * m_a * t.log_u, fac * m_b * t.log_v])
+    gdy = np.array([fac * m_a * (t.log_u * logistic + t.inv_u), fac * m_b * (t.log_v * logistic - t.inv_v)])
     return fac, dfac, gy, gdy
 
 

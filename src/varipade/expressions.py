@@ -12,15 +12,18 @@ Grammar (infix, `^` is power, right associative):
 
 where FUNCTION is a name in the `_FUNCTIONS` table below.
 
-Trees are immutable; evaluation is pure and vectorizes over numpy arrays.
-Partials are propagated by forward mode with two tangent slots (y and dy).
+Trees are immutable. Each is compiled once, when parsed, into closures that
+vectorize over numpy arrays and carry forward-mode partials in two tangent
+slots (y and dy); constant subtrees are folded, structurally zero partials
+are never computed, and subtrees of x alone are computed once per grid by
+`IntegrandExpr.bind`. Nesting deeper than MAX_DEPTH levels is a syntax error.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +31,9 @@ import numpy as np
 from .errors import DomainError, ExpressionSyntaxError, UnknownIdentifierError
 
 _DIV_FLOOR = 1e-300
+# deepest accepted nesting (see _Parser); the parser and the compiler recurse
+# a few frames per level, well inside Python's default recursion limit
+MAX_DEPTH = 100
 _VARIABLES = ("x", "y", "dy")
 
 
@@ -87,13 +93,29 @@ class Call:
 
 @dataclass(frozen=True)
 class IntegrandExpr:
-    """Parsed integrand; `text` is the original source (for error messages)."""
+    """Parsed integrand; `text` is the original source (for error messages).
+
+    The tree is compiled once, when the expression is built; `bind(x)`
+    evaluates the parts that depend on x alone on one grid.
+    """
 
     root: object
     text: str
+    program: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "program", _Program(self.root))
+
+    def __reduce__(self):
+        # the compiled closures do not pickle; an unpickled copy compiles again
+        return IntegrandExpr, (self.root, self.text)
 
     def __str__(self):
         return to_string(self.root)
+
+    def bind(self, x):
+        """The integrand on grid `x`: a function (y, dy) -> (F, dF/dy, dF/ddy)."""
+        return self.program.bind(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -132,10 +154,18 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; every method returns (node, nesting depth).
+
+    A leaf has depth 1; parentheses, a function call and an operator each
+    add one level. Deeper expressions are rejected before they can exhaust
+    the interpreter stack, here or in the recursive compiler.
+    """
+
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # levels entered on the way down and not yet closed
 
     def peek(self):
         return self.tokens[self.i]
@@ -150,59 +180,77 @@ class _Parser:
         if val != value:
             raise ExpressionSyntaxError(f"expected {value!r}, found {val!r}", off)
 
+    def nested(self, parse, off):
+        """Parse one level down, rejecting the level past MAX_DEPTH at `off`."""
+        self.open += 1
+        if self.open >= MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        node, depth = parse()
+        self.open -= 1
+        return node, depth
+
+    def binop(self, op, left, right, off):
+        depth = max(left[1], right[1]) + 1
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return BinOp(op, left[0], right[0]), depth
+
     def expr(self):
         node = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.term())
+            _, op, off = self.next()
+            node = self.binop(op, node, self.term(), off)
         return node
 
     def term(self):
         node = self.unary()
         while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            node = BinOp(op, node, self.unary())
+            _, op, off = self.next()
+            node = self.binop(op, node, self.unary(), off)
         return node
 
     def unary(self):
-        if self.peek()[1] == "-":
+        kind, val, off = self.peek()
+        if val == "-":
             self.next()
-            return Neg(self.unary())
+            arg, depth = self.nested(self.unary, off)
+            return Neg(arg), depth + 1
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek()[1] == "^":
+        kind, val, off = self.peek()
+        if val == "^":
             self.next()
-            return BinOp("^", base, self.unary())
+            return self.binop("^", base, self.nested(self.unary, off), off)
         return base
 
     def atom(self):
         kind, val, off = self.next()
         if kind == "num":
-            return Const(float(val))
+            return Const(float(val)), 1
         if kind == "ident":
             if val in _VARIABLES:
-                return Var(val)
+                return Var(val), 1
             if val == "pi":
-                return Const(math.pi)
+                return Const(math.pi), 1
             if val in _FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, off)
                 self.expect(")")
-                return Call(val, arg)
+                return Call(val, arg), depth + 1
             raise UnknownIdentifierError(val, off)
         if val == "(":
-            node = self.expr()
+            node, depth = self.nested(self.expr, off)
             self.expect(")")
-            return node
+            return node, depth + 1
         raise ExpressionSyntaxError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
 
 
 def parse_integrand(text):
     """Parse integrand source into an immutable IntegrandExpr."""
     parser = _Parser(text)
-    root = parser.expr()
+    root, _ = parser.expr()
     kind, val, off = parser.peek()
     if kind != "end":
         raise ExpressionSyntaxError(f"trailing input {val!r}", off)
@@ -258,19 +306,19 @@ def to_string(node):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation with forward-mode partials w.r.t. y and dy
+# Compilation to closures with forward-mode partials w.r.t. y and dy
 # ---------------------------------------------------------------------------
+#
+# `_compile(node, slots)` returns (reads, run): `reads` is the set of
+# variables the subtree reads, and run(x, xv, y, dy) returns (value, d/dy,
+# d/ddy), where a partial is None when it is structurally zero (and 1.0 for
+# y and dy themselves). Under a node that reads a variable, a subtree without
+# variables is folded to a float at compile time; under a node that reads y
+# or dy, a subtree of x alone becomes a slot: `bind` computes its value once
+# per grid and `run` reads it from xv. The arithmetic is the same, operation
+# for operation, as a plain numpy evaluation of the tree.
 
-def _is_const_tree(node):
-    if isinstance(node, Const):
-        return True
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, Neg):
-        return _is_const_tree(node.arg)
-    if isinstance(node, Call):
-        return _is_const_tree(node.arg)
-    return _is_const_tree(node.left) and _is_const_tree(node.right)
+_FOLD_AT = np.zeros(1)
 
 
 def _first_bad(x, mask):
@@ -278,114 +326,250 @@ def _first_bad(x, mask):
     return float(np.asarray(x).reshape(-1)[idx] if np.ndim(x) else x)
 
 
-def _eval_node(node, x, y, dy):
-    """Return (value, d/dy, d/ddy), each broadcast to the input shape."""
+def _plus(s, t):
+    if s is None:
+        return t
+    if t is None:
+        return s
+    return s + t
+
+
+def _minus(s, t):
+    if t is None:
+        return s
+    if s is None:
+        return -t
+    return s - t
+
+
+def _times(t, d):
+    return None if t is None else t * d
+
+
+def _operand(reads, run, slots, parent_reads):
+    """The run of a child as its parent reads it: folded, slotted or inline.
+
+    A parent without variables keeps its children inline, so that folding
+    it evaluates the whole subtree in numpy arrays, like any other subtree.
+    """
+    if not parent_reads:
+        return run
+    if not reads:
+        try:
+            with np.errstate(all="ignore"):
+                c = float(run(_FOLD_AT, None, None, None)[0][0])
+        except DomainError:
+            pass  # raised again, at its real location, when a grid is bound
+        else:
+            return lambda x, xv, y, dy: (c, None, None)
+    if reads <= {"x"} and ("y" in parent_reads or "dy" in parent_reads):
+        slots.append(run)
+        i = len(slots) - 1
+        return lambda x, xv, y, dy: (xv[i], None, None)
+    return run
+
+
+def _compile(node, slots):
     if isinstance(node, Const):
-        z = np.zeros_like(x)
-        return np.full_like(x, node.value), z, z
+        c = node.value
+        return frozenset(), lambda x, xv, y, dy: (np.full_like(x, c), None, None)
     if isinstance(node, Var):
-        z = np.zeros_like(x)
-        if node.name == "x":
-            return x, z, z
-        if node.name == "y":
-            return y, np.ones_like(x), z
-        return dy, z, np.ones_like(x)
+        return _VAR_READS[node.name], _VAR_RUNS[node.name]
     if isinstance(node, Neg):
-        v, ty, tdy = _eval_node(node.arg, x, y, dy)
-        return -v, -ty, -tdy
+        reads, arg = _compile(node.arg, slots)
+        return reads, _neg(arg)
     if isinstance(node, Call):
-        v, ty, tdy = _eval_node(node.arg, x, y, dy)
-        fn = _FUNCTIONS[node.fn]
+        reads, arg = _compile(node.arg, slots)
+        return reads, _call(_FUNCTIONS[node.fn], arg)
+    left_reads, left = _compile(node.left, slots)
+    right_reads, right = _compile(node.right, slots)
+    reads = left_reads | right_reads
+    left = _operand(left_reads, left, slots, reads)
+    if node.op == "^" and not right_reads:
+        return reads, _const_pow(left, right)
+    right = _operand(right_reads, right, slots, reads)
+    return reads, _BINARY[node.op](left, right)
+
+
+_VAR_READS = {name: frozenset([name]) for name in _VARIABLES}
+_VAR_RUNS = {
+    "x": lambda x, xv, y, dy: (x, None, None),
+    "y": lambda x, xv, y, dy: (y, 1.0, None),
+    "dy": lambda x, xv, y, dy: (dy, None, 1.0),
+}
+
+
+def _neg(arg):
+    def run(x, xv, y, dy):
+        v, ty, tdy = arg(x, xv, y, dy)
+        return -v, None if ty is None else -ty, None if tdy is None else -tdy
+    return run
+
+
+def _call(fn, arg):
+    def run(x, xv, y, dy):
+        v, ty, tdy = arg(x, xv, y, dy)
         if fn.domain is not None:
             bad = fn.domain(v)
             if np.any(bad):
                 raise DomainError(f"{fn.domain_error} near x = {_first_bad(x, bad)}")
-        # an infinite or NaN result is reported by the finiteness check at the end
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = fn.value(v)
-            d = fn.derivative(v, r)
-            return r, d * ty, d * tdy
-    # BinOp
-    a, ay, ady = _eval_node(node.left, x, y, dy)
-    if node.op == "^":
-        return _eval_pow(node, a, ay, ady, x, y, dy)
-    b, by, bdy = _eval_node(node.right, x, y, dy)
-    if node.op == "+":
-        return a + b, ay + by, ady + bdy
-    if node.op == "-":
-        return a - b, ay - by, ady - bdy
-    if node.op == "*":
-        return a * b, ay * b + a * by, ady * b + a * bdy
+        r = fn.value(v)
+        if ty is None and tdy is None:
+            return r, None, None
+        d = fn.derivative(v, r)
+        return r, _times(ty, d), _times(tdy, d)
+    return run
+
+
+def _add(left, right):
+    def run(x, xv, y, dy):
+        a, ay, ady = left(x, xv, y, dy)
+        b, by, bdy = right(x, xv, y, dy)
+        return a + b, _plus(ay, by), _plus(ady, bdy)
+    return run
+
+
+def _sub(left, right):
+    def run(x, xv, y, dy):
+        a, ay, ady = left(x, xv, y, dy)
+        b, by, bdy = right(x, xv, y, dy)
+        return a - b, _minus(ay, by), _minus(ady, bdy)
+    return run
+
+
+def _mul(left, right):
+    def run(x, xv, y, dy):
+        a, ay, ady = left(x, xv, y, dy)
+        b, by, bdy = right(x, xv, y, dy)
+        return a * b, _plus(_times(ay, b), _times(by, a)), _plus(_times(ady, b), _times(bdy, a))
+    return run
+
+
+def _div(left, right):
     # division with a hard floor on the divisor magnitude
-    small = np.abs(b) < _DIV_FLOOR
-    if np.any(small):
-        raise DomainError(f"near-zero divisor near x = {_first_bad(x, small)}")
-    v = a / b
-    return v, (ay - v * by) / b, (ady - v * bdy) / b
+    def run(x, xv, y, dy):
+        a, ay, ady = left(x, xv, y, dy)
+        b, by, bdy = right(x, xv, y, dy)
+        small = np.abs(b) < _DIV_FLOOR
+        if np.any(small):
+            raise DomainError(f"near-zero divisor near x = {_first_bad(x, small)}")
+        v = a / b
+
+        def partial(at, bt):
+            if bt is None:
+                return None if at is None else at / b
+            return _minus(at, v * bt) / b
+
+        return v, partial(ay, by), partial(ady, bdy)
+    return run
 
 
-def _const_exponent(node, x):
-    """Value of an exponent without variables, checked to be finite."""
-    # the value does not depend on x; evaluating at the first point names it in errors
-    at = x.reshape(-1)[:1] if x.size else np.zeros(1)
-    v, _, _ = _eval_node(node, at, at, at)
-    p = float(v[0])
-    if not math.isfinite(p):
-        raise DomainError(f"non-finite constant exponent near x = {float(at[0])}")
-    return p
+def _var_pow(left, right):
+    # a^b = exp(b log a): the base must be strictly positive
+    def run(x, xv, y, dy):
+        a, ay, ady = left(x, xv, y, dy)
+        b, by, bdy = right(x, xv, y, dy)
+        if np.any(a <= 0):
+            raise DomainError(f"variable power of non-positive base near x = {_first_bad(x, a <= 0)}")
+        la = np.log(a)
+        v = np.exp(b * la)
+
+        def partial(at, bt):
+            s = _plus(_times(bt, la), None if at is None else b * at / a)
+            return None if s is None else v * s
+
+        return v, partial(ay, by), partial(ady, bdy)
+    return run
 
 
-def _eval_pow(node, a, ay, ady, x, y, dy):
-    if _is_const_tree(node.right):
-        p = _const_exponent(node.right, x)
+def _const_pow(left, exponent):
+    """a^p for an exponent without variables, folded to a number here."""
+    try:
+        with np.errstate(all="ignore"):
+            p = float(exponent(_FOLD_AT, None, None, None)[0][0])
+    except DomainError:
+        p = math.nan  # evaluating the exponent again below raises at its real location
+    if math.isfinite(p) and p.is_integer():
+        p = int(p)
+
+    def run(x, xv, y, dy):
+        a, ay, ady = left(x, xv, y, dy)
+        if not math.isfinite(p):
+            # the exponent does not depend on x; the first point names it in errors
+            at = x.reshape(-1)[:1] if x.size else _FOLD_AT
+            exponent(at, None, None, None)
+            raise DomainError(f"non-finite constant exponent near x = {float(at[0])}")
         if p == 0:
-            one = np.ones_like(a)
-            z = np.zeros_like(a)
-            return one, z, z
-        if float(p).is_integer():
-            p = int(p)
+            return np.ones_like(a), None, None
+        if isinstance(p, int):
             if p < 0:
                 small = np.abs(a) < _DIV_FLOOR
                 if np.any(small):
                     raise DomainError(f"negative power of near-zero base near x = {_first_bad(x, small)}")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = a ** p
-                d = p * a ** (p - 1)
-            return v, d * ay, d * ady
-        # real exponent: only defined for nonnegative bases
-        if np.any(a < 0):
-            raise DomainError(
-                f"non-integer power of negative base near x = {_first_bad(x, a < 0)}"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
             v = a ** p
+            if ay is None and ady is None:
+                return v, None, None
+            d = p * a ** (p - 1)
+        else:
+            # real exponent: only defined for nonnegative bases
+            if np.any(a < 0):
+                raise DomainError(f"non-integer power of negative base near x = {_first_bad(x, a < 0)}")
+            v = a ** p
+            if ay is None and ady is None:
+                return v, None, None
             d = p * a ** (p - 1.0)
-        return v, d * ay, d * ady
-    # variable exponent: a^b = exp(b log a), base must be strictly positive
-    b, by, bdy = _eval_node(node.right, x, y, dy)
-    if np.any(a <= 0):
-        raise DomainError(
-            f"variable power of non-positive base near x = {_first_bad(x, a <= 0)}"
-        )
-    la = np.log(a)
-    v = np.exp(b * la)
-    return v, v * (by * la + b * ay / a), v * (bdy * la + b * ady / a)
+        return v, _times(ay, d), _times(ady, d)
+    return run
 
 
-def eval_integrand_many(expr, x, y, dy):
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _var_pow}
+
+
+class _Program:
+    """An integrand tree compiled once into closures (see `_compile`)."""
+
+    def __init__(self, root):
+        self.slots = []
+        reads, run = _compile(root, self.slots)
+        if not reads & {"y", "dy"}:
+            # F of x alone: all of it is computed when a grid is bound
+            self.slots.append(run)
+            i = len(self.slots) - 1
+            run = lambda x, xv, y, dy: (xv[i], None, None)  # noqa: E731
+        self.run = run
+
+    def bind(self, x):
+        with np.errstate(all="ignore"):
+            xv = [slot(x, None, None, None)[0] for slot in self.slots]
+        run = self.run
+
+        def evaluate(y, dy):
+            # an infinite or NaN intermediate is reported by the finiteness check below
+            with np.errstate(all="ignore"):
+                out = run(x, xv, y, dy)
+            out = [np.zeros(x.shape) if t is None else t if np.shape(t) == x.shape else np.full(x.shape, t)
+                   for t in out]
+            for arr in out:
+                bad = ~np.isfinite(arr)
+                if np.any(bad):
+                    raise DomainError(f"non-finite integrand value near x = {_first_bad(x, bad)}")
+            return tuple(out)
+
+        return evaluate
+
+
+def eval_integrand_many(expr, x, y, dy, bound=None):
     """Vectorized integrand evaluation.
 
     Returns (F, dF_dy, dF_ddy) as arrays shaped like the broadcast inputs.
+    `bound` is `expr.bind(x)` for this x, when the caller keeps one.
     """
+    if bound is not None:
+        return bound(y, dy)
     x, y, dy = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(dy, dtype=float)
     )
-    v, ty, tdy = _eval_node(expr.root, x, y, dy)
-    for arr in (v, ty, tdy):
-        bad = ~np.isfinite(arr)
-        if np.any(bad):
-            raise DomainError(f"non-finite integrand value near x = {_first_bad(x, bad)}")
-    return v, ty, tdy
+    return expr.bind(x)(y, dy)
 
 
 def eval_integrand(expr, x, y, dy):

@@ -1,10 +1,12 @@
-"""Parametric function families with full jet evaluation.
+"""Parametric function families: values, jets and gradient pullbacks.
 
 A "jet" at x bundles the model value y, its x-derivative dy/dx, and the
 exact partial derivatives of both with respect to every trainable
-parameter. Jets are the differentiation currency consumed by the loss
-assembly; every formula here is hand-derived and checked against finite
-differences in the test suite.
+parameter. Training needs only the pullback of those partials, the
+gradient of sum(c1 * y + c2 * dy/dx) for given weights c1, c2, which each
+family computes in closed form without forming the dense jet. Every
+formula here is hand-derived and checked against finite differences in
+the test suite.
 
 Parameter layouts (flat vector, in order):
 
@@ -143,7 +145,7 @@ def init_params(spec, seed, domain=(-1.0, 1.0)):
 
 
 # ---------------------------------------------------------------------------
-# Per-family jets (vectorized over x)
+# Per-family values, jets and pullbacks (vectorized over x)
 # ---------------------------------------------------------------------------
 
 def _powers(xs, deg):
@@ -171,13 +173,19 @@ def legendre_table(deg, xs):
     return p, dp
 
 
-def _pade_jet(spec, theta, xs, gy, gdy):
+# Each family computes its values on a grid once and returns two ways to
+# differentiate them: rows() gives the dense (P, N) gradient rows of y and dy
+# (the forward jet, for `family_jet_many`), and pullback(c1, c2) gives
+# grad_y @ c1 + grad_dy @ c2 without forming them (for `loss_and_grad`).
+# `tables` is what `family_tables` computed from the grid alone.
+
+def _pade(spec, theta, tables):
     m, n = spec.pade_m, spec.pade_n
     w = theta[:m]
     b1 = theta[m]
     wp = theta[m + 1 : m + 1 + n]
     b2 = theta[m + 1 + n]
-    p, dp = _powers(xs, max(m, n))
+    xs, (p, dp) = tables
     num = w @ p[:m] + b1
     dnum = w @ dp[:m]
     den = wp @ p[:n] + b2
@@ -189,35 +197,58 @@ def _pade_jet(spec, theta, xs, gy, gdy):
     inv2 = inv * inv
     y = num * inv
     dy = dnum * inv - num * dden * inv2
-    gy[:m] = p[:m] * inv
-    gy[m] = inv
-    gy[m + 1 : m + 1 + n] = -num * p[:n] * inv2
-    gy[m + 1 + n] = -num * inv2
-    gdy[:m] = dp[:m] * inv - p[:m] * dden * inv2
-    gdy[m] = -dden * inv2
-    gdy[m + 1 : m + 1 + n] = (
-        -dnum * p[:n] * inv2 - num * dp[:n] * inv2 + 2.0 * num * dden * p[:n] * inv2 * inv
-    )
-    gdy[m + 1 + n] = -dnum * inv2 + 2.0 * num * dden * inv2 * inv
-    return y, dy
+
+    def rows():
+        gy = np.empty((m + n + 2, xs.shape[0]))
+        gdy = np.empty_like(gy)
+        gy[:m] = p[:m] * inv
+        gy[m] = inv
+        gy[m + 1 : m + 1 + n] = -num * p[:n] * inv2
+        gy[m + 1 + n] = -num * inv2
+        gdy[:m] = dp[:m] * inv - p[:m] * dden * inv2
+        gdy[m] = -dden * inv2
+        gdy[m + 1 : m + 1 + n] = (
+            -dnum * p[:n] * inv2 - num * dp[:n] * inv2 + 2.0 * num * dden * p[:n] * inv2 * inv
+        )
+        gdy[m + 1 + n] = -dnum * inv2 + 2.0 * num * dden * inv2 * inv
+        return gy, gdy
+
+    def pullback(c1, c2):
+        # numerator rows read (a1, a2), denominator rows (e1, e2), against (p, dp)
+        a1 = inv * c1 - dden * inv2 * c2
+        a2 = inv * c2
+        e1 = inv2 * ((2.0 * num * dden * inv - dnum) * c2 - num * c1)
+        e2 = -num * inv2 * c2
+        return np.concatenate([
+            p[:m] @ a1 + dp[:m] @ a2, [np.sum(a1)], p[:n] @ e1 + dp[:n] @ e2, [np.sum(e1)],
+        ])
+
+    return y, dy, rows, pullback
 
 
-def _poly_jet(spec, theta, xs, gy, gdy, basis=None):
+def _basis(spec, theta, tables):
+    """Leg and Poly: a linear combination of fixed basis rows plus a bias."""
     deg = spec.degree
-    if basis is None:
-        p, dp = _powers(xs, deg)
-    else:
-        p, dp = basis  # (deg, N) rows for basis functions 1..deg
+    p, dp = tables  # (deg, N) rows for basis functions 1..deg
     w = theta[:deg]
     y = w @ p + theta[deg]
     dy = w @ dp
-    gy[:deg] = p
-    gy[deg] = 1.0
-    gdy[:deg] = dp
-    return y, dy
+
+    def rows():
+        gy = np.empty((deg + 1, p.shape[1]))
+        gy[:deg] = p
+        gy[deg] = 1.0
+        gdy = np.zeros_like(gy)
+        gdy[:deg] = dp
+        return gy, gdy
+
+    def pullback(c1, c2):
+        return np.concatenate([p @ c1 + dp @ c2, [np.sum(c1)]])
+
+    return y, dy, rows, pullback
 
 
-def _rbf_jet(spec, theta, xs, gy, gdy):
+def _rbf(spec, theta, xs):
     l = spec.centers
     w = theta[:l]
     c = theta[l : 2 * l]
@@ -227,21 +258,42 @@ def _rbf_jet(spec, theta, xs, gy, gdy):
     s = sig[:, None]
     phi = np.exp(-u * u / (2.0 * s))
     phix = -phi * u / s
-    wc = w[:, None]
     y = w @ phi + b
     dy = w @ phix
-    gy[:l] = phi
-    gy[l : 2 * l] = wc * phi * u / s
-    gy[2 * l : 3 * l] = wc * phi * u * u / (2.0 * s)
-    gy[3 * l] = 1.0
-    gdy[:l] = phix
-    gdy[l : 2 * l] = wc * phi * (1.0 / s - u * u / (s * s))
-    gdy[2 * l : 3 * l] = wc * (phi * u / s - phi * u ** 3 / (2.0 * s * s))
-    return y, dy
+
+    def rows():
+        wc = w[:, None]
+        gy = np.empty((3 * l + 1, xs.shape[0]))
+        gdy = np.empty_like(gy)
+        gy[:l] = phi
+        gy[l : 2 * l] = wc * phi * u / s
+        gy[2 * l : 3 * l] = wc * phi * u * u / (2.0 * s)
+        gy[3 * l] = 1.0
+        gdy[:l] = phix
+        gdy[l : 2 * l] = wc * phi * (1.0 / s - u * u / (s * s))
+        gdy[2 * l : 3 * l] = wc * (phi * u / s - phi * u ** 3 / (2.0 * s * s))
+        gdy[3 * l] = 0.0
+        return gy, gdy
+
+    def pullback(c1, c2):
+        q = phi * u / s  # d phi / d c
+        r = q * u  # 2 d phi / d rho
+        qc2 = q @ c2
+        return np.concatenate([
+            phi @ c1 - qc2,
+            w * (q @ c1 + (phi @ c2 - r @ c2) / sig),
+            w * (0.5 * (r @ c1) + qc2 - 0.5 * ((r * u) @ c2) / sig),
+            [np.sum(c1)],
+        ])
+
+    return y, dy, rows, pullback
 
 
-def _mlp_jet(spec, theta, xs, gy, gdy):
+def _mlp(spec, theta, xs):
+    """The MLP carries all P tangents forward, so its rows come with its values."""
     n = xs.shape[0]
+    gy = np.zeros((param_count(spec), n))
+    gdy = np.zeros_like(gy)
     h = xs[None, :]
     hx = np.ones((1, n))
     g = np.zeros((gy.shape[0], 1, n))
@@ -282,7 +334,42 @@ def _mlp_jet(spec, theta, xs, gy, gdy):
     gy[o : o + width] += h
     gy[o + width] += 1.0
     gdy[o : o + width] += hx
-    return y, dy
+    return y, dy, lambda: (gy, gdy), lambda c1, c2: gy @ c1 + gdy @ c2
+
+
+_FAMILIES = {"Pade": _pade, "Leg": _basis, "Poly": _basis, "RBF": _rbf, "MLP": _mlp}
+
+
+def family_tables(spec, xs):
+    """What a family reads from the grid alone, computed once per grid."""
+    if spec.kind == "Leg":
+        p, dp = legendre_table(spec.degree, xs)
+        return p[1:], dp[1:]
+    if spec.kind == "Poly":
+        return _powers(xs, spec.degree)
+    if spec.kind == "Pade":
+        return xs, _powers(xs, max(spec.pade_m, spec.pade_n))
+    if spec.kind in _FAMILIES:
+        return xs
+    raise InvalidStructureError(f"unknown family kind {spec.kind!r}")
+
+
+def _family_params(spec, params):
+    theta = np.asarray(params, dtype=float)
+    pf = param_count(spec)
+    if theta.shape[0] < pf:
+        raise ValueError(f"parameter vector of length {theta.shape[0]} too short for {spec}")
+    return theta[:pf]
+
+
+def family_forward(spec, params, tables):
+    """Family values on a grid and the pullback of their parameter gradient.
+
+    `tables` is family_tables(spec, xs). Returns (y, dy_dx, pullback), where
+    pullback(c1, c2) is the (P,) gradient of sum(c1 * y + c2 * dy_dx).
+    """
+    y, dy, _, pullback = _FAMILIES[spec.kind](spec, _family_params(spec, params), tables)
+    return y, dy, pullback
 
 
 def family_jet_many(spec, params, xs):
@@ -293,26 +380,9 @@ def family_jet_many(spec, params, xs):
     entries of `params` are read.
     """
     xs = np.asarray(xs, dtype=float)
-    theta = np.asarray(params, dtype=float)
-    pf = param_count(spec)
-    if theta.shape[0] < pf:
-        raise ValueError(f"parameter vector of length {theta.shape[0]} too short for {spec}")
-    gy = np.zeros((pf, xs.shape[0]))
-    gdy = np.zeros((pf, xs.shape[0]))
-    theta = theta[:pf]
-    if spec.kind == "Pade":
-        y, dy = _pade_jet(spec, theta, xs, gy, gdy)
-    elif spec.kind == "Poly":
-        y, dy = _poly_jet(spec, theta, xs, gy, gdy)
-    elif spec.kind == "Leg":
-        p, dp = legendre_table(spec.degree, xs)
-        y, dy = _poly_jet(spec, theta, xs, gy, gdy, basis=(p[1:], dp[1:]))
-    elif spec.kind == "RBF":
-        y, dy = _rbf_jet(spec, theta, xs, gy, gdy)
-    elif spec.kind == "MLP":
-        y, dy = _mlp_jet(spec, theta, xs, gy, gdy)
-    else:
-        raise InvalidStructureError(f"unknown family kind {spec.kind!r}")
+    tables = family_tables(spec, xs)
+    y, dy, rows, _ = _FAMILIES[spec.kind](spec, _family_params(spec, params), tables)
+    gy, gdy = rows()
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
             and np.all(np.isfinite(gy)) and np.all(np.isfinite(gdy))):
         raise EvaluationOverflowError(f"non-finite value while evaluating {spec}")

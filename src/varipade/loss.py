@@ -7,6 +7,12 @@ quadrature, so the loss evaluated on the exact solution estimates J
 directly. Endpoints are never sampled: the composed model lives on the
 open interval and some benchmark solutions have singular derivatives at
 an endpoint.
+
+Training computes the gradient in reverse mode on a `Plan`, a grid bound
+to one problem and structure that holds everything computed from the grid
+alone. `compose_final_many` is the forward jet, with dense (P, N) gradient
+rows; it is kept for evaluating a trained model, for the step
+preconditioner and as the reference the tests check the gradient against.
 """
 
 from __future__ import annotations
@@ -16,8 +22,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .boundary import BoundaryCondition, compose_final_many
+# compose_final_many is not called here, but perfbench/tracing.py wraps it in this namespace
+from .boundary import BoundaryCondition, BoundaryTables, compose_final_many  # noqa: F401
+from .errors import EvaluationOverflowError
 from .expressions import IntegrandExpr, eval_integrand_many
+from .families import family_forward, family_tables
 
 
 @dataclass(frozen=True)
@@ -54,16 +63,46 @@ def sample_grid(bc, n, mode="midpoint", seed=0):
     return SampleGrid(points, length / n)
 
 
+class Plan:
+    """A grid bound to one problem and one family structure.
+
+    Holds what `loss_and_grad` reads from the grid alone: the boundary
+    tables, the family's basis tables and the integrand's x-only values.
+    `train` builds one per call on a fixed grid; a SampleGrid passed to
+    `loss_and_grad` is bound on the spot.
+    """
+
+    def __init__(self, problem, spec, grid):
+        self.problem = problem
+        self.spec = spec
+        self.points = np.asarray(grid.points, dtype=float)
+        self.weight = grid.weight
+        self.boundary = BoundaryTables(problem.bc, self.points)
+        self.family = family_tables(spec, self.points)
+        self.integrand = problem.integrand.bind(self.points)
+
+
 def loss_and_grad(problem, spec, params, exps, grid):
     """Midpoint-rule loss and its exact gradient over (family params, rho_a, rho_b).
 
-    `exps` is a BoundaryExponents.
+    `exps` is a BoundaryExponents; `grid` is a SampleGrid or a Plan for this
+    problem and spec. The gradient is computed in reverse mode: the loss's
+    weights w * dF/dy and w * dF/ddy are pulled back through the
+    composition and the family, and no (P, N) Jacobian is formed.
     """
-    xs = grid.points
-    y, dy, gy, gdy = compose_final_many(spec, params, exps.rho_a, exps.rho_b, problem.bc, xs)
-    f, f_y, f_dy = eval_integrand_many(problem.integrand, xs, y, dy)
-    loss = grid.weight * float(np.sum(f))
-    grad = grid.weight * (gy @ f_y + gdy @ f_dy)
+    plan = grid if isinstance(grid, Plan) else Plan(problem, spec, grid)
+    if plan.problem is not problem or plan.spec != spec:
+        raise ValueError("the plan was built for another problem or structure")
+    fy, fdy, family_pullback = family_forward(spec, params, plan.family)
+    y, dy, boundary_pullback = plan.boundary.compose(fy, fdy, exps.rho_a, exps.rho_b)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))):
+        raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
+    f, f_y, f_dy = eval_integrand_many(problem.integrand, plan.points, y, dy, bound=plan.integrand)
+    loss = plan.weight * float(np.sum(f))
+    c1, c2, grad_rho = boundary_pullback(plan.weight * f_y, plan.weight * f_dy)
+    grad = np.concatenate([family_pullback(c1, c2), grad_rho])
+    if not np.all(np.isfinite(grad)):
+        raise EvaluationOverflowError(f"non-finite gradient of the composed model for {spec}")
     return loss, grad
 
 

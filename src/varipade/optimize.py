@@ -19,7 +19,7 @@ import numpy as np
 from .boundary import BoundaryExponents, compose_final_many
 from .errors import VaripadeError
 from .families import init_params, param_count
-from .loss import loss_and_grad, sample_grid
+from .loss import Plan, loss_and_grad, sample_grid
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,14 @@ class TrainConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.grid_mode not in ("midpoint", "random"):
             raise ValueError(f"unknown grid_mode {self.grid_mode!r}")
-        for name in ("steps", "grid_n", "record_every", "seed"):
+        for name in ("steps", "grid_n", "record_every", "seed", "early_stop_window"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps", "early_stop_tol"):
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive and finite")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
@@ -66,11 +69,20 @@ class TrainConfig:
             raise ValueError("Adam betas must lie in (0, 1)")
         if self.adam_eps <= 0:
             raise ValueError("adam_eps must be positive")
-        if self.grid_n < 1 or self.record_every < 1:
-            raise ValueError("grid_n and record_every must be positive")
-        lo, hi = self.exponent_bounds
+        if self.early_stop_tol < 0:
+            raise ValueError("early_stop_tol must be nonnegative")
+        if self.grid_n < 1 or self.record_every < 1 or self.early_stop_window < 1:
+            raise ValueError("grid_n, record_every and early_stop_window must be positive")
+        bounds = self.exponent_bounds
+        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(map(_finite, bounds))):
+            raise ValueError(f"exponent_bounds must be two finite numbers, got {bounds!r}")
+        lo, hi = bounds
         if not (0 < lo <= 1.0 <= hi):
             raise ValueError("exponent_bounds must bracket the initial m = 1")
+
+
+def _finite(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -126,11 +138,7 @@ def train(problem, spec, config=TrainConfig()):
     theta = np.concatenate([init_params(spec, config.seed, domain=(bc.x_a, bc.x_b)), [0.0, 0.0]])
     pf = param_count(spec)
     state = AdamState.zeros(pf + 2) if config.algorithm == "adam" else None
-    fixed_grid = sample_grid(bc, config.grid_n, "midpoint") if config.grid_mode == "midpoint" else None
     step_scale = 1.0
-    if config.precondition:
-        step_scale = _sensitivity_scale(problem, spec, theta, fixed_grid or sample_grid(bc, config.grid_n, "midpoint"))
-        theta = theta * step_scale
     history = []
     status = "max_steps"
     reason = None
@@ -138,9 +146,18 @@ def train(problem, spec, config=TrainConfig()):
     exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
     steps_done = 0
     try:
+        # on a fixed grid one plan serves every step; a random grid is bound when sampled
+        fixed = None
+        if config.grid_mode == "midpoint":
+            fixed = Plan(problem, spec, sample_grid(bc, config.grid_n, "midpoint"))
+        if config.precondition:
+            step_scale = _sensitivity_scale(
+                problem, spec, theta, fixed or sample_grid(bc, config.grid_n, "midpoint")
+            )
+            theta = theta * step_scale
         for step in range(config.steps):
             steps_done = step + 1
-            grid = fixed_grid if fixed_grid is not None else sample_grid(
+            grid = fixed or sample_grid(
                 bc, config.grid_n, "random", seed=config.seed * 1_000_003 + step
             )
             loss, grad = loss_and_grad(problem, spec, theta[:pf], exps, grid)
@@ -159,9 +176,7 @@ def train(problem, spec, config=TrainConfig()):
             if config.early_stop and _stalled(history, step, config):
                 status = "converged"
                 break
-        final_grid = fixed_grid if fixed_grid is not None else sample_grid(
-            bc, config.grid_n, "midpoint"
-        )
+        final_grid = fixed or sample_grid(bc, config.grid_n, "midpoint")
         loss, _ = loss_and_grad(problem, spec, theta[:pf], exps, final_grid)
         label = steps_done if not history or history[-1][0] < steps_done else history[-1][0] + 1
         history.append((label, loss))

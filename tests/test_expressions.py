@@ -1,7 +1,11 @@
 import math
+import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from varipade import (
     DomainError,
@@ -11,6 +15,7 @@ from varipade import (
     eval_integrand_many,
     parse_integrand,
 )
+from varipade.expressions import MAX_DEPTH
 
 class TestParsing:
     def test_shortest_path_integrand(self):
@@ -31,6 +36,12 @@ class TestParsing:
         ]:
             expr = parse_integrand(text)
             assert parse_integrand(str(expr)).root == expr.root, text
+
+    def test_pickle_round_trip_compiles_again(self):
+        expr = parse_integrand("dy^2 - 2 * y * cos(x + pi/2)")
+        copy = pickle.loads(pickle.dumps(expr))
+        assert copy == expr
+        assert eval_integrand(copy, 0.3, 0.2, 0.1) == eval_integrand(expr, 0.3, 0.2, 0.1)
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError) as exc:
@@ -148,3 +159,119 @@ class TestPartialsAgainstFiniteDifferences:
         for analytic, fd in ((fy, fd_y), (fdy, fd_dy)):
             err = np.abs(analytic - fd)
             assert np.all(err <= 1e-6 * np.abs(fd) + slack)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("text,offset", [
+        ("(" * 5000 + "x" + ")" * 5000, MAX_DEPTH - 1),
+        ("-" * 3000 + "x", MAX_DEPTH - 1),
+        ("sqrt(" * 3000 + "y" + ")" * 3000, 5 * (MAX_DEPTH - 1)),
+        ("y^" * 3000 + "y", 2 * (MAX_DEPTH - 1) + 1),
+    ])
+    def test_deep_nesting_is_a_syntax_error(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_integrand(text)
+        assert exc.value.offset == offset
+
+    def test_long_operator_chain_is_a_syntax_error(self):
+        # a left-associative chain nests without recursing in the parser
+        text = "+".join(["y"] * 5000)
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_integrand(text)
+        assert exc.value.offset == 2 * MAX_DEPTH - 1
+
+    def test_nesting_up_to_the_limit_evaluates(self):
+        deep = parse_integrand("(" * (MAX_DEPTH - 2) + "y" + ")" * (MAX_DEPTH - 2))
+        assert eval_integrand(deep, 0.0, 2.0, 0.0).dF_dy == 1.0
+        chain = parse_integrand("+".join(["y"] * MAX_DEPTH))
+        assert eval_integrand(chain, 0.0, 1.0, 0.0).dF_dy == MAX_DEPTH
+
+
+def test_overflow_raises_domain_error_without_numpy_warnings():
+    expr = parse_integrand("exp(1000*dy) * y")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            eval_integrand_many(expr, np.array([0.1, 0.2]), np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+
+# F of each builtin integrand at fixed points, recorded from the tree-walking
+# evaluator that the compiler replaced: (text, x, y, dy, F as float.hex)
+BUILTIN_VALUES = [
+    ("sqrt(1 + dy^2)", [0.173589, -0.767828, -0.919238, -0.333693],
+     [0.353167, 0.442739, 1.396401, 1.13609], [0.182633, 1.26551, 1.058163, 1.006242],
+     ["0x1.043c0164ed8d7p+0", "0x1.9ce86b547d843p+0", "0x1.74b74e3ea4692p+0", "0x1.6b2b9c374b417p+0"]),
+    ("y * dy^3", [0.607938, 0.378367, 0.524626, 0.394086],
+     [1.352547, 1.438734, 0.6261, 0.844402], [1.783083, 0.389305, 1.346656, 0.287894],
+     ["0x1.eabc27c85c9ecp+2", "0x1.5bb45ebde821ap-4", "0x1.876dfb3b21761p+0", "0x1.4a1dc916ada60p-6"]),
+    ("dy^2 + x * dy", [0.823125, 0.942032, 0.694343, 0.770757],
+     [0.584717, 1.41972, 0.162244, 1.192647], [0.310385, 1.550105, 1.321856, 0.321106],
+     ["0x1.6844ae9ceb45ap-2", "0x1.ee7935aa615e0p+1", "0x1.5522cec281a3ap+1", "0x1.6704ac146e35ep-2"]),
+    ("dy^2 - 2 * y * cos(x + pi/2)", [-0.75994, -0.117395, -1.336962, 0.204987],
+     [0.735692, 1.472709, 1.255922, 0.108186], [1.625827, 0.477594, 1.861576, 1.267542],
+     ["0x1.a134a334d31d8p+0", "-0x1.dec59251c87eep-4", "0x1.05a088703f2a6p+0", "0x1.a694ae7e1502cp+0"]),
+    ("dy^2 - y^2 - 2 * x * y", [0.182343, 0.288993, 0.696711, 0.00268],
+     [0.127329, 1.214606, 0.737211, 0.231893], [1.288077, 0.884166, 1.092068, 0.995156],
+     ["0x1.98b3de6950c3ap+0", "-0x1.654256747905ep+0", "-0x1.83303401e3342p-2", "0x1.dee2056910f83p-1"]),
+]
+
+
+@pytest.mark.parametrize("text,x,y,dy,values", BUILTIN_VALUES)
+def test_builtin_integrands_match_recorded_values_bit_for_bit(text, x, y, dy, values):
+    f, _, _ = eval_integrand_many(parse_integrand(text), np.array(x), np.array(y), np.array(dy))
+    assert [float(v).hex() for v in f] == values
+
+
+# Random grammar trees whose every subexpression stays finite and inside its
+# domain for |x|, |y|, |dy| <= 2, written both as integrand text and as numpy code
+_LEAVES = st.sampled_from([("x", "x"), ("y", "y"), ("dy", "dy"), ("pi", "np.pi"),
+                           ("2.5", "2.5"), ("0.5", "0.5")])
+
+
+def _extend(children):
+    def unary(arg):
+        text, code = arg
+        return st.sampled_from([
+            (f"-({text})", f"-({code})"),
+            (f"sin({text})", f"np.sin({code})"),
+            (f"cos({text})", f"np.cos({code})"),
+            (f"tanh({text})", f"np.tanh({code})"),
+            (f"exp(sin({text}))", f"np.exp(np.sin({code}))"),
+            (f"sqrt(1 + ({text})^2)", f"np.sqrt(1 + ({code})**2)"),
+            (f"log(2 + cos({text}))", f"np.log(2 + np.cos({code}))"),
+            (f"tanh({text})^3", f"np.tanh({code})**3"),
+        ])
+
+    def binary(pair):
+        (a, ca), (b, cb) = pair
+        return st.sampled_from([
+            (f"({a}) + ({b})", f"({ca}) + ({cb})"),
+            (f"({a}) - ({b})", f"({ca}) - ({cb})"),
+            (f"tanh({a}) * tanh({b})", f"np.tanh({ca}) * np.tanh({cb})"),
+            (f"sin({a}) / (2 + cos({b}))", f"np.sin({ca}) / (2 + np.cos({cb}))"),
+            (f"(2 + sin({a}))^cos({b})", f"(2 + np.sin({ca}))**np.cos({cb})"),
+        ])
+
+    return children.flatmap(unary) | st.tuples(children, children).flatmap(binary)
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tree=_TREES, seed=st.integers(0, 2**31 - 1))
+def test_compiled_evaluator_against_numpy_and_finite_differences(tree, seed):
+    text, code = tree
+    expr = parse_integrand(text)
+    x, y, dy = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, 50))
+    f, f_y, f_dy = eval_integrand_many(expr, x, y, dy)
+    expected = np.broadcast_to(eval(code, {"np": np, "x": x, "y": y, "dy": dy}), x.shape)
+    assert np.allclose(f, expected, rtol=1e-12, atol=1e-12)
+    h = 1e-6
+    value = lambda y, dy: eval_integrand_many(expr, x, y, dy)[0]  # noqa: E731
+    fd_y = (value(y + h, dy) - value(y - h, dy)) / (2 * h)
+    fd_dy = (value(y, dy + h) - value(y, dy - h)) / (2 * h)
+    slack = 1e-6 * (1.0 + np.abs(f))
+    assert np.all(np.abs(f_y - fd_y) <= 1e-5 * np.abs(fd_y) + slack)
+    assert np.all(np.abs(f_dy - fd_dy) <= 1e-5 * np.abs(fd_dy) + slack)

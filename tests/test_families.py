@@ -12,6 +12,7 @@ from varipade import (
     param_count,
     parse_structure,
 )
+from varipade.families import family_forward, family_tables
 
 
 class TestParseStructure:
@@ -163,3 +164,50 @@ def test_jet_matches_finite_differences(structure, rng):
             fd_dy = (jp.dy_dx - jm.dy_dx) / (2 * h)
             assert abs(jet.grad_y[k] - fd_y) <= tol(fd_y)
             assert abs(jet.grad_dy_dx[k] - fd_dy) <= tol(fd_dy)
+
+
+@pytest.mark.parametrize("structure", ALL_FAMILIES)
+def test_pullback_matches_directional_finite_difference(structure, rng):
+    # pullback(c1, c2) . d is the derivative of sum(c1 * y + c2 * dy) along d
+    spec = parse_structure(structure)
+    pf = param_count(spec)
+    xs = np.sort(rng.uniform(-0.95, 0.95, 40))
+    tables = family_tables(spec, xs)
+    h = 1e-6
+    for _ in range(30):
+        theta = init_params(spec, int(rng.integers(1 << 30))) + rng.normal(0, 0.3, pf)
+        c1, c2 = rng.normal(0, 1, (2, xs.size))
+        direction = rng.normal(0, 1, pf)
+
+        def weighted(t):
+            y, dy, _ = family_forward(spec, t, tables)
+            return float(np.sum(c1 * y + c2 * dy))
+
+        _, _, pullback = family_forward(spec, theta, tables)
+        analytic = float(pullback(c1, c2) @ direction)
+        fd = (weighted(theta + h * direction) - weighted(theta - h * direction)) / (2 * h)
+        scale = np.sum(np.abs(c1)) + np.sum(np.abs(c2))
+        assert abs(analytic - fd) <= 1e-6 * abs(fd) + 1e-7 * scale
+
+
+@pytest.mark.parametrize("structure", ["Pade-[2/2]"] + ALL_FAMILIES)
+def test_pullback_matches_jet_contraction(structure, rng):
+    spec = parse_structure(structure)
+    pf = param_count(spec)
+    xs = np.sort(rng.uniform(-0.95, 0.95, 64))
+    for _ in range(10):
+        theta = init_params(spec, int(rng.integers(1 << 30))) + rng.normal(0, 0.3, pf)
+        c1, c2 = rng.normal(0, 1, (2, xs.size))
+        y, dy, gy, gdy = family_jet_many(spec, theta, xs)
+        fy, fdy, pullback = family_forward(spec, theta, family_tables(spec, xs))
+        assert np.array_equal(fy, y) and np.array_equal(fdy, dy)
+        expected = gy @ c1 + gdy @ c2
+        assert np.max(np.abs(pullback(c1, c2) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_pade_pullback_keeps_pole_location():
+    spec = parse_structure("Pade-[1/1]")
+    xs = np.array([-0.5, 0.25, 0.75])
+    with pytest.raises(PoleError) as exc:
+        family_forward(spec, np.array([1.0, 0.0, 4.0, -1.0]), family_tables(spec, xs))
+    assert exc.value.x == 0.25

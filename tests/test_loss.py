@@ -6,9 +6,12 @@ import pytest
 from varipade import (
     BoundaryCondition,
     BoundaryExponents,
+    Plan,
     Problem,
     SampleGrid,
     builtin_cases,
+    compose_final_many,
+    eval_integrand_many,
     functional_value,
     init_params,
     loss_and_grad,
@@ -152,3 +155,50 @@ class TestLossAndGrad:
                                       BoundaryExponents(tm[pf], tm[pf + 1]), grid)
                 fd = (lp - lm) / (2 * h)
                 assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+# every family on the builtin case it is paired with in the paper's matrix
+ORACLE_PAIRS = [(0, "Pade-[5/5]"), (1, "RBF-[8]"), (2, "MLP-[[4,sigmoid]]"), (3, "Leg-15"),
+                (4, "Poly-4"), (4, "MLP-[[3,tanh],[3,tanh]]"), (3, "Pade-[4/5]"), (2, "RBF-[16]")]
+
+
+class TestReverseModeAgainstForwardJet:
+    """loss_and_grad against the contraction of compose_final_many's dense rows."""
+
+    @pytest.mark.parametrize("mode", ["midpoint", "random"])
+    @pytest.mark.parametrize("case_index,structure", ORACLE_PAIRS)
+    def test_loss_bitwise_and_gradient_to_rounding(self, case_index, structure, mode, rng):
+        case = builtin_cases()[case_index]
+        bc = case.problem.bc
+        spec = parse_structure(structure)
+        pf = param_count(spec)
+        grid = sample_grid(bc, 300, mode, seed=int(rng.integers(1 << 30)))
+        for _ in range(5):
+            theta = init_params(spec, int(rng.integers(1 << 30)), domain=(bc.x_a, bc.x_b))
+            theta = theta + rng.normal(0, 0.05, pf)
+            rho_a, rho_b = rng.uniform(-0.4, 0.8, 2)
+            y, dy, gy, gdy = compose_final_many(spec, theta, rho_a, rho_b, bc, grid.points)
+            f, f_y, f_dy = eval_integrand_many(case.problem.integrand, grid.points, y, dy)
+            expected_loss = grid.weight * float(np.sum(f))
+            expected_grad = grid.weight * (gy @ f_y + gdy @ f_dy)
+            loss, grad = loss_and_grad(case.problem, spec, theta, BoundaryExponents(rho_a, rho_b), grid)
+            assert loss == expected_loss
+            assert np.max(np.abs(grad - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
+
+    def test_plan_gives_the_same_bits_as_a_grid(self):
+        case = builtin_cases()[3]
+        spec = parse_structure("Leg-15")
+        grid = sample_grid(case.problem.bc, 200)
+        theta = init_params(spec, 3)
+        exps = BoundaryExponents(0.1, -0.2)
+        plan = Plan(case.problem, spec, grid)
+        for _ in range(2):  # a plan is reused across steps
+            l1, g1 = loss_and_grad(case.problem, spec, theta, exps, plan)
+            l2, g2 = loss_and_grad(case.problem, spec, theta, exps, grid)
+            assert l1 == l2 and np.array_equal(g1, g2)
+
+    def test_plan_of_another_structure_is_rejected(self):
+        case = builtin_cases()[3]
+        plan = Plan(case.problem, parse_structure("Leg-15"), sample_grid(case.problem.bc, 50))
+        with pytest.raises(ValueError):
+            loss_and_grad(case.problem, parse_structure("Leg-4"), np.zeros(5), BoundaryExponents(), plan)

@@ -42,6 +42,11 @@ class TestConfig:
         {"seed": 0.5},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
+        {"adam_eps": float("inf")},
+        {"adam_eps": float("nan")},
+        {"early_stop_tol": float("nan")},
+        {"exponent_bounds": (0.5, float("inf"))},
+        {"early_stop_window": 2.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -151,6 +156,14 @@ class TestTrain:
         report = train(problem, parse_structure("Poly-2"), _tiny_config())
         assert report.status == "failed"
         assert "divisor" in report.failure_reason
+
+    def test_overflow_in_the_preconditioner_is_reported_not_raised(self):
+        # x^15 overflows on this interval while the initial step scale is computed
+        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e30, 0.0, 1.0))
+        with np.errstate(all="ignore"):
+            report = train(problem, parse_structure("Poly-15"), _tiny_config(precondition=True))
+        assert report.status == "failed"
+        assert "non-finite" in report.failure_reason
 
     def test_random_grid_mode_runs(self):
         case = builtin_cases()[4]
