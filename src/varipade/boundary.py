@@ -58,7 +58,7 @@ class BoundaryExponents:
 def _check_inside(bc, xs):
     outside = (xs <= bc.x_a) | (xs >= bc.x_b)
     if np.any(outside):
-        bad = float(xs[int(np.argmax(outside))])
+        bad = float(xs.flat[int(np.argmax(outside))])
         raise DomainError(f"x = {bad} outside the open interval ({bc.x_a}, {bc.x_b})")
 
 
@@ -66,18 +66,30 @@ class BoundaryTables:
     """What the composition reads from the grid alone, computed once per grid.
 
     u = x - x_a and v = x_b - x, their logs and reciprocals, and the
-    interpolant g with its slope.
+    interpolant g with its slope. `xs` is one grid (N,) or a block of grids
+    (K, N); `row(k)` is grid k's share.
     """
+
+    _ROW_TABLES = ("u", "v", "log_u", "log_v", "inv_u", "inv_v", "gval")
 
     def __init__(self, bc, xs):
         _check_inside(bc, xs)
         self.u = xs - bc.x_a
         self.v = bc.x_b - xs
-        self.log_u = np.log(self.u)
-        self.log_v = np.log(self.v)
-        self.inv_u = 1.0 / self.u
-        self.inv_v = 1.0 / self.v
+        with np.errstate(all="ignore"):  # 1/u of a subnormal u reaches the finiteness checks
+            self.log_u = np.log(self.u)
+            self.log_v = np.log(self.v)
+            self.inv_u = 1.0 / self.u
+            self.inv_v = 1.0 / self.v
         self.gval, self.gslope = linear_interpolant(bc, xs)
+
+    def row(self, k):
+        """The tables of grid k of a block: C-contiguous views, no copies."""
+        t = object.__new__(BoundaryTables)
+        for name in self._ROW_TABLES:
+            setattr(t, name, getattr(self, name)[k])
+        t.gslope = self.gslope
+        return t
 
     def factor(self, rho_a, rho_b):
         """(m_a, m_b, factor, d/dx of log(factor)) at exponents exp(rho)."""
@@ -145,18 +157,19 @@ def compose_final_many(spec, params, rho_a, rho_b, bc, xs):
     xs = np.asarray(xs, dtype=float)
     pf = param_count(spec)
     fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs)
-    by, bdy, bgy, bgdy = boundary_factor_many(bc, rho_a, rho_b, xs)
-    gval, gslope = linear_interpolant(bc, xs)
-    y = fy * by + gval
-    dy = fdy * by + fy * bdy + gslope
-    gy = np.empty((pf + 2, xs.shape[0]))
-    gdy = np.empty((pf + 2, xs.shape[0]))
-    gy[:pf] = fgy * by
-    gy[pf:] = fy * bgy
-    gdy[:pf] = fgdy * by + fgy * bdy
-    gdy[pf:] = fdy * bgy + fy * bgdy
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
-            and np.all(np.isfinite(gy)) and np.all(np.isfinite(gdy))):
+    with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
+        by, bdy, bgy, bgdy = boundary_factor_many(bc, rho_a, rho_b, xs)
+        gval, gslope = linear_interpolant(bc, xs)
+        y = fy * by + gval
+        dy = fdy * by + fy * bdy + gslope
+        gy = np.empty((pf + 2, xs.shape[0]))
+        gdy = np.empty((pf + 2, xs.shape[0]))
+        gy[:pf] = fgy * by
+        gy[pf:] = fy * bgy
+        gdy[:pf] = fgdy * by + fgy * bdy
+        gdy[pf:] = fdy * bgy + fy * bgdy
+    if not (np.isfinite(y).all() and np.isfinite(dy).all()
+            and np.isfinite(gy).all() and np.isfinite(gdy).all()):
         raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
     return y, dy, gy, gdy
 

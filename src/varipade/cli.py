@@ -179,6 +179,8 @@ def cmd_run(args):
         "relative_error": rel,
         "status": report.status,
         "failure_reason": report.failure_reason,
+        "steps_done": report.steps_done,
+        "failure_step": report.failure_step,
         "wall_time_ms": report.wall_time_ms,
         "config": {
             "problem": problem_echo,

@@ -96,7 +96,8 @@ class IntegrandExpr:
     """Parsed integrand; `text` is the original source (for error messages).
 
     The tree is compiled once, when the expression is built; `bind(x)`
-    evaluates the parts that depend on x alone on one grid.
+    evaluates the parts that depend on x alone on one grid, `bind_rows(x)`
+    on a block of grids at once.
     """
 
     root: object
@@ -115,7 +116,17 @@ class IntegrandExpr:
 
     def bind(self, x):
         """The integrand on grid `x`: a function (y, dy) -> (F, dF/dy, dF/ddy)."""
-        return self.program.bind(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return self.program.bind(x, self.program.slot_values(x))
+
+    def bind_rows(self, x):
+        """One evaluator per row of a (K, N) block of grids.
+
+        The x-only values are computed once, for the whole block.
+        """
+        program = self.program
+        xv = program.slot_values(x)
+        return [program.bind(x[k], [v[k] for v in xv]) for k in range(x.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -538,24 +549,32 @@ class _Program:
             run = lambda x, xv, y, dy: (xv[i], None, None)  # noqa: E731
         self.run = run
 
-    def bind(self, x):
+    def slot_values(self, x):
         with np.errstate(all="ignore"):
-            xv = [slot(x, None, None, None)[0] for slot in self.slots]
+            return [slot(x, None, None, None)[0] for slot in self.slots]
+
+    def bind(self, x, xv):
+        """The evaluator on grid x, whose slot values are xv."""
         run = self.run
 
         def evaluate(y, dy):
-            # an infinite or NaN intermediate is reported by the finiteness check below
+            # an infinite or NaN intermediate is reported by the finiteness checks
             with np.errstate(all="ignore"):
-                out = run(x, xv, y, dy)
-            out = [np.zeros(x.shape) if t is None else t if np.shape(t) == x.shape else np.full(x.shape, t)
-                   for t in out]
-            for arr in out:
-                bad = ~np.isfinite(arr)
-                if np.any(bad):
-                    raise DomainError(f"non-finite integrand value near x = {_first_bad(x, bad)}")
-            return tuple(out)
+                f, f_y, f_dy = run(x, xv, y, dy)
+            return _on_grid(f, x), _on_grid(f_y, x), _on_grid(f_dy, x)
 
         return evaluate
+
+
+def _on_grid(t, x):
+    """A value or partial as a finite array shaped like x (None is a structural zero)."""
+    if t is None:
+        return np.zeros(x.shape)
+    if np.shape(t) != x.shape:
+        t = np.full(x.shape, t)
+    if not np.isfinite(t).all():
+        raise DomainError(f"non-finite integrand value near x = {_first_bad(x, ~np.isfinite(t))}")
+    return t
 
 
 def eval_integrand_many(expr, x, y, dy, bound=None):

@@ -149,27 +149,35 @@ def init_params(spec, seed, domain=(-1.0, 1.0)):
 # ---------------------------------------------------------------------------
 
 def _powers(xs, deg):
-    """Stack x^j and j*x^(j-1) for j = 1..deg; shapes (deg, N)."""
-    n = xs.shape[0]
-    if deg == 0:
-        return np.zeros((0, n)), np.zeros((0, n))
-    p = np.vstack([xs ** j for j in range(1, deg + 1)])
-    dp = np.vstack([j * xs ** (j - 1) for j in range(1, deg + 1)])
+    """x^j and j*x^(j-1) for j = 1..deg; shapes (..., deg, N) for xs of shape (..., N)."""
+    p = np.empty(xs.shape[:-1] + (deg, xs.shape[-1]))
+    dp = np.empty_like(p)
+    for j in range(1, deg + 1):
+        p[..., j - 1, :] = xs ** j
+    if deg:
+        dp[..., 0, :] = 1.0
+        dp[..., 1:, :] = np.arange(2, deg + 1)[:, None] * p[..., :-1, :]
     return p, dp
 
 
 def legendre_table(deg, xs):
-    """Values and x-derivatives of P_0..P_deg by the three-term recurrence."""
-    n = xs.shape[0]
-    p = np.zeros((deg + 1, n))
-    dp = np.zeros((deg + 1, n))
-    p[0] = 1.0
+    """Values and x-derivatives of P_0..P_deg by the three-term recurrence.
+
+    Shapes (..., deg + 1, N) for xs of shape (..., N): a block of grids keeps
+    each grid's table contiguous.
+    """
+    shape = xs.shape[:-1] + (deg + 1, xs.shape[-1])
+    p = np.zeros(shape)
+    dp = np.zeros(shape)
+    p[..., 0, :] = 1.0
     if deg >= 1:
-        p[1] = xs
-        dp[1] = 1.0
+        p[..., 1, :] = xs
+        dp[..., 1, :] = 1.0
     for k in range(1, deg):
-        p[k + 1] = ((2 * k + 1) * xs * p[k] - k * p[k - 1]) / (k + 1)
-        dp[k + 1] = ((2 * k + 1) * (p[k] + xs * dp[k]) - k * dp[k - 1]) / (k + 1)
+        p[..., k + 1, :] = ((2 * k + 1) * xs * p[..., k, :] - k * p[..., k - 1, :]) / (k + 1)
+        dp[..., k + 1, :] = (
+            (2 * k + 1) * (p[..., k, :] + xs * dp[..., k, :]) - k * dp[..., k - 1, :]
+        ) / (k + 1)
     return p, dp
 
 
@@ -220,7 +228,7 @@ def _pade(spec, theta, tables):
         e1 = inv2 * ((2.0 * num * dden * inv - dnum) * c2 - num * c1)
         e2 = -num * inv2 * c2
         return np.concatenate([
-            p[:m] @ a1 + dp[:m] @ a2, [np.sum(a1)], p[:n] @ e1 + dp[:n] @ e2, [np.sum(e1)],
+            p[:m] @ a1 + dp[:m] @ a2, [a1.sum()], p[:n] @ e1 + dp[:n] @ e2, [e1.sum()],
         ])
 
     return y, dy, rows, pullback
@@ -243,7 +251,7 @@ def _basis(spec, theta, tables):
         return gy, gdy
 
     def pullback(c1, c2):
-        return np.concatenate([p @ c1 + dp @ c2, [np.sum(c1)]])
+        return np.concatenate([p @ c1 + dp @ c2, [c1.sum()]])
 
     return y, dy, rows, pullback
 
@@ -283,7 +291,7 @@ def _rbf(spec, theta, xs):
             phi @ c1 - qc2,
             w * (q @ c1 + (phi @ c2 - r @ c2) / sig),
             w * (0.5 * (r @ c1) + qc2 - 0.5 * ((r * u) @ c2) / sig),
-            [np.sum(c1)],
+            [c1.sum()],
         ])
 
     return y, dy, rows, pullback
@@ -341,17 +349,30 @@ _FAMILIES = {"Pade": _pade, "Leg": _basis, "Poly": _basis, "RBF": _rbf, "MLP": _
 
 
 def family_tables(spec, xs):
-    """What a family reads from the grid alone, computed once per grid."""
-    if spec.kind == "Leg":
-        p, dp = legendre_table(spec.degree, xs)
-        return p[1:], dp[1:]
-    if spec.kind == "Poly":
-        return _powers(xs, spec.degree)
-    if spec.kind == "Pade":
-        return xs, _powers(xs, max(spec.pade_m, spec.pade_n))
+    """What a family reads from the grid alone, computed once per grid.
+
+    `xs` is one grid (N,) or a block of grids (K, N); every table then has
+    the leading row axis, and `table_row(tables, k)` is grid k's share.
+    """
+    # an overflowed power reaches the finiteness checks of the values
+    with np.errstate(all="ignore"):
+        if spec.kind == "Leg":
+            p, dp = legendre_table(spec.degree, xs)
+            return p[..., 1:, :], dp[..., 1:, :]
+        if spec.kind == "Poly":
+            return _powers(xs, spec.degree)
+        if spec.kind == "Pade":
+            return xs, _powers(xs, max(spec.pade_m, spec.pade_n))
     if spec.kind in _FAMILIES:
         return xs
     raise InvalidStructureError(f"unknown family kind {spec.kind!r}")
+
+
+def table_row(tables, k):
+    """Row k of block tables: each array's grid-k slice, a C-contiguous view."""
+    if isinstance(tables, tuple):
+        return tuple(table_row(t, k) for t in tables)
+    return tables[k]
 
 
 def _family_params(spec, params):
@@ -381,10 +402,11 @@ def family_jet_many(spec, params, xs):
     """
     xs = np.asarray(xs, dtype=float)
     tables = family_tables(spec, xs)
-    y, dy, rows, _ = _FAMILIES[spec.kind](spec, _family_params(spec, params), tables)
-    gy, gdy = rows()
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))
-            and np.all(np.isfinite(gy)) and np.all(np.isfinite(gdy))):
+    with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
+        y, dy, jet_rows, _ = _FAMILIES[spec.kind](spec, _family_params(spec, params), tables)
+        gy, gdy = jet_rows()
+    if not (np.isfinite(y).all() and np.isfinite(dy).all()
+            and np.isfinite(gy).all() and np.isfinite(gdy).all()):
         raise EvaluationOverflowError(f"non-finite value while evaluating {spec}")
     return y, dy, gy, gdy
 

@@ -8,17 +8,24 @@ directly. Endpoints are never sampled: the composed model lives on the
 open interval and some benchmark solutions have singular derivatives at
 an endpoint.
 
-Training computes the gradient in reverse mode on a `Plan`, a grid bound
-to one problem and structure that holds everything computed from the grid
-alone. `compose_final_many` is the forward jet, with dense (P, N) gradient
-rows; it is kept for evaluating a trained model, for the step
-preconditioner and as the reference the tests check the gradient against.
+Training computes the gradient in reverse mode on a `Plan`, grids bound to
+one problem and structure that hold everything computed from the grid
+alone. A plan binds a block of grids, one per row, in one vectorized pass,
+and row k gives the same bits as a plan of grid k alone. `train` binds a
+fixed grid once; a grid resampled at every step is drawn and bound in
+blocks of consecutive steps, at most 8192 points to a block (about 1-2 MB
+of tables for the paper's structures), and step s still draws its grid
+from default_rng(seed * 1_000_003 + s).
+
+`compose_final_many` is the forward jet, with dense (P, N) gradient rows;
+it is kept for evaluating a trained model, for the step preconditioner and
+as the reference the tests check the gradient against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,7 +33,7 @@ import numpy as np
 from .boundary import BoundaryCondition, BoundaryTables, compose_final_many  # noqa: F401
 from .errors import EvaluationOverflowError
 from .expressions import IntegrandExpr, eval_integrand_many
-from .families import family_forward, family_tables
+from .families import family_forward, family_tables, table_row
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,9 @@ def sample_grid(bc, n, mode="midpoint", seed=0):
     """Sample points strictly inside (x_a, x_b) with equal quadrature weight.
 
     midpoint: x_i = x_a + (i - 1/2) (x_b - x_a) / n, deterministic.
-    random:   n i.i.d. uniform draws, sorted, seeded.
+    random:   n i.i.d. uniform draws, sorted, seeded. A sequence of K seeds
+              gives a (K, n) block of grids, row k drawn exactly as seed[k]
+              alone would draw it.
     """
     if n < 1:
         raise ValueError(f"need at least one sample point, got {n}")
@@ -56,52 +65,76 @@ def sample_grid(bc, n, mode="midpoint", seed=0):
     if mode == "midpoint":
         points = bc.x_a + (np.arange(1, n + 1) - 0.5) * (length / n)
     elif mode == "random":
-        rng = np.random.default_rng(seed)
-        points = np.sort(bc.x_a + length * rng.random(n))
+        one = np.ndim(seed) == 0
+        seeds = [seed] if one else list(seed)
+        draws = np.empty((len(seeds), n))
+        for row, s in zip(draws, seeds):
+            np.random.default_rng(s).random(out=row)
+        points = np.sort(bc.x_a + length * draws, axis=-1)
+        if one:
+            points = points[0]
     else:
         raise ValueError(f"unknown grid mode {mode!r}")
     return SampleGrid(points, length / n)
 
 
-class Plan:
-    """A grid bound to one problem and one family structure.
+class _Row(NamedTuple):
+    points: np.ndarray
+    boundary: BoundaryTables
+    family: object
+    integrand: Callable
 
-    Holds what `loss_and_grad` reads from the grid alone: the boundary
-    tables, the family's basis tables and the integrand's x-only values.
-    `train` builds one per call on a fixed grid; a SampleGrid passed to
-    `loss_and_grad` is bound on the spot.
+
+class Plan:
+    """Grids bound to one problem and one family structure.
+
+    `grid.points` is one grid (N,) or a block of K grids (K, N) that share
+    the weight. The boundary tables, the family's basis tables and the
+    integrand's x-only values are computed once for the whole block, in one
+    vectorized pass; `rows[k]` holds grid k's share as C-contiguous views,
+    and `loss_and_grad` reads one row.
     """
 
     def __init__(self, problem, spec, grid):
+        points = np.asarray(grid.points, dtype=float)
+        block = points.reshape(-1, points.shape[-1])
         self.problem = problem
         self.spec = spec
-        self.points = np.asarray(grid.points, dtype=float)
         self.weight = grid.weight
-        self.boundary = BoundaryTables(problem.bc, self.points)
-        self.family = family_tables(spec, self.points)
-        self.integrand = problem.integrand.bind(self.points)
+        boundary = BoundaryTables(problem.bc, block)
+        family = family_tables(spec, block)
+        integrand = problem.integrand.bind_rows(block)
+        self.rows = tuple(
+            _Row(block[k], boundary.row(k), table_row(family, k), integrand[k])
+            for k in range(block.shape[0])
+        )
 
 
-def loss_and_grad(problem, spec, params, exps, grid):
+def loss_and_grad(problem, spec, params, exps, grid, row=0):
     """Midpoint-rule loss and its exact gradient over (family params, rho_a, rho_b).
 
     `exps` is a BoundaryExponents; `grid` is a SampleGrid or a Plan for this
-    problem and spec. The gradient is computed in reverse mode: the loss's
-    weights w * dF/dy and w * dF/ddy are pulled back through the
-    composition and the family, and no (P, N) Jacobian is formed.
+    problem and spec, of which grid `row` is read. The gradient is computed
+    in reverse mode: the loss's weights w * dF/dy and w * dF/ddy are pulled
+    back through the composition and the family, and no (P, N) Jacobian is
+    formed.
     """
     plan = grid if isinstance(grid, Plan) else Plan(problem, spec, grid)
-    if plan.problem is not problem or plan.spec != spec:
+    if plan.problem is not problem or (plan.spec is not spec and plan.spec != spec):
         raise ValueError("the plan was built for another problem or structure")
-    fy, fdy, family_pullback = family_forward(spec, params, plan.family)
-    y, dy, boundary_pullback = plan.boundary.compose(fy, fdy, exps.rho_a, exps.rho_b)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))):
-        raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
-    f, f_y, f_dy = eval_integrand_many(problem.integrand, plan.points, y, dy, bound=plan.integrand)
-    loss = plan.weight * float(np.sum(f))
-    c1, c2, grad_rho = boundary_pullback(plan.weight * f_y, plan.weight * f_dy)
-    grad = np.concatenate([family_pullback(c1, c2), grad_rho])
-    if not np.all(np.isfinite(grad)):
+    points, boundary, family, integrand = plan.rows[row]
+    weight = plan.weight
+    # an overflow or a NaN is reported by the finiteness checks
+    with np.errstate(all="ignore"):
+        fy, fdy, family_pullback = family_forward(spec, params, family)
+        y, dy, boundary_pullback = boundary.compose(fy, fdy, exps.rho_a, exps.rho_b)
+        if not (np.isfinite(y).all() and np.isfinite(dy).all()):
+            raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
+        f, f_y, f_dy = eval_integrand_many(problem.integrand, points, y, dy, bound=integrand)
+        loss = weight * float(f.sum())
+        c1, c2, grad_rho = boundary_pullback(weight * f_y, weight * f_dy)
+        grad = np.concatenate([family_pullback(c1, c2), grad_rho])
+    if not np.isfinite(grad).all():
         raise EvaluationOverflowError(f"non-finite gradient of the composed model for {spec}")
     return loss, grad
 

@@ -8,6 +8,7 @@ mid-run produces a failed report instead of an exception).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -20,6 +21,10 @@ from .boundary import BoundaryExponents, compose_final_many
 from .errors import VaripadeError
 from .families import init_params, param_count
 from .loss import Plan, loss_and_grad, sample_grid
+
+# points bound at once when resampled grids are bound in blocks of steps: the
+# block's tables take about 1-2 MB for the structures of the paper
+_BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,8 @@ class TrainReport:
     wall_time_ms: float = 0.0
     status: str = "max_steps"  # converged | max_steps | failed
     failure_reason: Optional[str] = None
+    steps_done: int = 0  # optimizer updates applied
+    failure_step: Optional[int] = None  # the step whose evaluation failed (= steps_done)
 
     @property
     def exponents(self):
@@ -137,7 +144,10 @@ def train(problem, spec, config=TrainConfig()):
     bc = problem.bc
     theta = np.concatenate([init_params(spec, config.seed, domain=(bc.x_a, bc.x_b)), [0.0, 0.0]])
     pf = param_count(spec)
-    state = AdamState.zeros(pf + 2) if config.algorithm == "adam" else None
+    adam = config.algorithm == "adam"
+    state = AdamState.zeros(pf + 2) if adam else None
+    record_every = config.record_every
+    log_lo, log_hi = np.log(config.exponent_bounds[0]), np.log(config.exponent_bounds[1])
     step_scale = 1.0
     history = []
     status = "max_steps"
@@ -146,38 +156,32 @@ def train(problem, spec, config=TrainConfig()):
     exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
     steps_done = 0
     try:
-        # on a fixed grid one plan serves every step; a random grid is bound when sampled
-        fixed = None
-        if config.grid_mode == "midpoint":
-            fixed = Plan(problem, spec, sample_grid(bc, config.grid_n, "midpoint"))
+        midpoint = sample_grid(bc, config.grid_n, "midpoint")
+        fixed = Plan(problem, spec, midpoint) if config.grid_mode == "midpoint" else None
         if config.precondition:
-            step_scale = _sensitivity_scale(
-                problem, spec, theta, fixed or sample_grid(bc, config.grid_n, "midpoint")
-            )
+            step_scale = _sensitivity_scale(problem, spec, theta, midpoint)
             theta = theta * step_scale
+        # (plan, row) of every step: a fixed grid is one row that every step reuses
+        grids = itertools.repeat((fixed, 0)) if fixed else _resampled_grids(problem, spec, config)
         for step in range(config.steps):
-            steps_done = step + 1
-            grid = fixed or sample_grid(
-                bc, config.grid_n, "random", seed=config.seed * 1_000_003 + step
-            )
-            loss, grad = loss_and_grad(problem, spec, theta[:pf], exps, grid)
-            if step % config.record_every == 0:
+            plan, row = next(grids)
+            loss, grad = loss_and_grad(problem, spec, theta[:pf], exps, plan, row)
+            if step % record_every == 0:
                 history.append((step, loss))
             if not config.train_exponents:
                 grad[pf:] = 0.0
-            if config.algorithm == "adam":
+            if adam:
                 state, new_theta = adam_step(state, theta, grad, config)
             else:
                 new_theta = sgd_step(theta, grad, config.learning_rate)
             theta = theta + step_scale * (new_theta - theta)
-            lo, hi = config.exponent_bounds
-            theta[pf:] = np.clip(theta[pf:], np.log(lo), np.log(hi))
+            theta[pf:] = np.clip(theta[pf:], log_lo, log_hi)
             exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
+            steps_done = step + 1
             if config.early_stop and _stalled(history, step, config):
                 status = "converged"
                 break
-        final_grid = fixed or sample_grid(bc, config.grid_n, "midpoint")
-        loss, _ = loss_and_grad(problem, spec, theta[:pf], exps, final_grid)
+        loss, _ = loss_and_grad(problem, spec, theta[:pf], exps, fixed or midpoint)
         label = steps_done if not history or history[-1][0] < steps_done else history[-1][0] + 1
         history.append((label, loss))
     except VaripadeError as exc:
@@ -194,7 +198,32 @@ def train(problem, spec, config=TrainConfig()):
         wall_time_ms=elapsed,
         status=status,
         failure_reason=reason,
+        steps_done=steps_done,
+        failure_step=steps_done if status == "failed" else None,
     )
+
+
+def _resampled_grids(problem, spec, config):
+    """(plan, row) of every step on a grid resampled at every step.
+
+    The grids are drawn and bound in blocks of consecutive steps, at most
+    _BLOCK_POINTS points to a block; step s draws its grid from
+    default_rng(seed * 1_000_003 + s) all the same. If a block does not
+    bind, its grids are bound one at a time, so that the failure lands on
+    its own step.
+    """
+    n = config.grid_n
+    rows = max(1, _BLOCK_POINTS // n)
+    for first in range(0, config.steps, rows):
+        seeds = [config.seed * 1_000_003 + step for step in range(first, min(first + rows, config.steps))]
+        try:
+            plan = Plan(problem, spec, sample_grid(problem.bc, n, "random", seed=seeds))
+        except VaripadeError:
+            for seed in seeds:
+                yield Plan(problem, spec, sample_grid(problem.bc, n, "random", seed=seed)), 0
+        else:
+            for row in range(len(seeds)):
+                yield plan, row
 
 
 def _sensitivity_scale(problem, spec, theta, grid):

@@ -29,6 +29,7 @@ class TestRun:
         assert summary["structure"] == "Pade-[5/5]"
         assert summary["n_params"] == 12
         assert summary["status"] == "max_steps"
+        assert summary["steps_done"] == 200 and summary["failure_step"] is None
         assert summary["j_exact"] == pytest.approx(2.8284271247461903)
         assert summary["relative_error"] == pytest.approx(
             (summary["j_exact"] - summary["j_final"]) / summary["j_exact"])
@@ -60,6 +61,18 @@ class TestRun:
         assert abs(summary["j_final"]) < 1e-4
         rows = read_csv(out / "loss.csv")
         assert all(r[2] == "" for r in rows[1:])  # no j_gap without a reference
+
+    def test_failure_step_in_summary(self, tmp_path, capsys):
+        # one point per grid: seed 2 first draws a point below 0.1 at step 18
+        out = tmp_path / "failed"
+        code = main(["run", "--integrand", "sqrt(x - 0.1) * dy^2", "--xa", "0", "--xb", "1",
+                     "--ya", "0", "--yb", "1", "--structure", "Leg-3", "--out", str(out),
+                     "--steps", "60", "--samples", "1", "--grid-mode", "random", "--seed", "2"])
+        assert code == 2
+        summary = read_summary(out)
+        assert summary["status"] == "failed"
+        assert summary["steps_done"] == 18 and summary["failure_step"] == 18
+        assert "sqrt of negative value" in capsys.readouterr().err
 
     def test_missing_structure(self, tmp_path, capsys):
         code = main(["run", "--problem", "parabolic", "--out", str(tmp_path / "x")] + FAST)

@@ -6,6 +6,7 @@ import pytest
 from varipade import (
     BoundaryCondition,
     BoundaryExponents,
+    DomainError,
     Plan,
     Problem,
     SampleGrid,
@@ -20,6 +21,7 @@ from varipade import (
     parse_structure,
     sample_grid,
 )
+from varipade.boundary import BoundaryTables
 
 
 class TestSampleGrid:
@@ -48,6 +50,14 @@ class TestSampleGrid:
         assert not np.array_equal(a.points, c.points)
         assert np.all(np.diff(a.points) >= 0)
         assert a.points.min() > 0.0 and a.points.max() < 2.0
+
+    def test_a_sequence_of_seeds_draws_a_block_of_grids(self):
+        bc = BoundaryCondition(-1.0, 2.0, 0.0, 0.0)
+        block = sample_grid(bc, 40, mode="random", seed=[7, 8, 9])
+        assert block.points.shape == (3, 40)
+        for row, seed in zip(block.points, [7, 8, 9]):
+            single = sample_grid(bc, 40, mode="random", seed=seed)
+            assert np.array_equal(row, single.points) and single.weight == block.weight
 
     def test_rejects_bad_arguments(self):
         bc = BoundaryCondition(0.0, 1.0, 0.0, 0.0)
@@ -202,3 +212,46 @@ class TestReverseModeAgainstForwardJet:
         plan = Plan(case.problem, parse_structure("Leg-15"), sample_grid(case.problem.bc, 50))
         with pytest.raises(ValueError):
             loss_and_grad(case.problem, parse_structure("Leg-4"), np.zeros(5), BoundaryExponents(), plan)
+
+
+def _leaves(tables):
+    return [a for t in tables for a in _leaves(t)] if isinstance(tables, tuple) else [tables]
+
+
+class TestPlanBlocks:
+    """A plan over a block of grids: row k is the plan of grid k alone, bit for bit."""
+
+    # x-only subtrees (cos, sin, x*x) are computed once per block when it is bound
+    PROBLEM = Problem(parse_integrand("(cos(2 * x) + 2 * sin(x)^2) * dy^2 + x * x * y + sqrt(x) * y^2"),
+                      BoundaryCondition(0.0, 1.5, 0.3, -0.2))
+
+    @pytest.mark.parametrize("structure", ["Pade-[2/3]", "RBF-[4]", "MLP-[[3,tanh],[2,sigmoid]]",
+                                           "Leg-6", "Poly-5"])
+    def test_row_matches_a_plan_of_its_grid(self, structure, rng):
+        spec = parse_structure(structure)
+        bc = self.PROBLEM.bc
+        for n in (1, 7, 64, 201):
+            block = sample_grid(bc, n, mode="random", seed=[int(s) for s in rng.integers(1 << 30, size=5)])
+            plan = Plan(self.PROBLEM, spec, block)
+            assert len(plan.rows) == 5
+            theta = init_params(spec, int(rng.integers(1 << 30)), domain=(bc.x_a, bc.x_b))
+            exps = BoundaryExponents(*rng.uniform(-0.4, 0.8, 2))
+            for k in range(5):
+                single = Plan(self.PROBLEM, spec, SampleGrid(block.points[k], block.weight))
+                loss, grad = loss_and_grad(self.PROBLEM, spec, theta, exps, plan, k)
+                expected_loss, expected_grad = loss_and_grad(self.PROBLEM, spec, theta, exps, single)
+                assert loss == expected_loss
+                assert np.array_equal(grad, expected_grad)
+
+    def test_row_tables_are_contiguous(self):
+        block = sample_grid(self.PROBLEM.bc, 30, mode="random", seed=[1, 2, 3])
+        for structure in ("Pade-[2/3]", "Leg-6", "Poly-5", "RBF-[4]"):
+            for row in Plan(self.PROBLEM, parse_structure(structure), block).rows:
+                tables = [row.points] + [getattr(row.boundary, name) for name in BoundaryTables._ROW_TABLES]
+                tables += _leaves(row.family)
+                assert all(t.flags.c_contiguous for t in tables)
+
+    def test_a_bad_point_is_reported_for_the_block(self):
+        block = SampleGrid(np.array([[0.5, 1.0], [0.2, 1.6]]), 0.75)
+        with pytest.raises(DomainError, match="x = 1.6 outside"):
+            Plan(self.PROBLEM, parse_structure("Leg-3"), block)
