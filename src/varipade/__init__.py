@@ -1,12 +1,12 @@
 """Boundary-conforming parametric approximators for 1-D fixed-endpoint
 variational problems, trained with exact analytic gradients."""
 
+from types import ModuleType as _ModuleType
+
 from .boundary import (
     BoundaryCondition,
     BoundaryExponents,
-    boundary_factor_jet,
     boundary_factor_many,
-    compose_final,
     compose_final_many,
     linear_interpolant,
 )
@@ -22,16 +22,12 @@ from .errors import (
     VaripadeError,
 )
 from .expressions import (
-    IntegrandEval,
     IntegrandExpr,
-    eval_integrand,
     eval_integrand_many,
     parse_integrand,
 )
 from .families import (
     FamilySpec,
-    Jet,
-    eval_jet,
     family_jet_many,
     init_params,
     legendre_table,
@@ -53,4 +49,6 @@ from .problems import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules stay importable but are not exported
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationOverflowError
-from .families import _first_jet, family_jet_many, param_count
+from .families import family_jet_many, param_count
 
 
 @dataclass(frozen=True)
@@ -132,11 +132,6 @@ def boundary_factor_many(bc, rho_a, rho_b, xs):
     return fac, dfac, gy, gdy
 
 
-def boundary_factor_jet(bc, exps, x):
-    """Jet of (x - x_a)^m_a (x_b - x)^m_b at scalar x, gradients w.r.t. rho."""
-    return _first_jet(*boundary_factor_many(bc, exps.rho_a, exps.rho_b, np.array([float(x)])))
-
-
 def linear_interpolant(bc, x):
     """The line through (x_a, y_a) and (x_b, y_b): returns (value, slope)."""
     slope = (bc.y_b - bc.y_a) / (bc.x_b - bc.x_a)
@@ -172,8 +167,3 @@ def compose_final_many(spec, params, rho_a, rho_b, bc, xs):
             and np.isfinite(gy).all() and np.isfinite(gdy).all()):
         raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
     return y, dy, gy, gdy
-
-
-def compose_final(spec, params, exps, bc, x):
-    """Scalar jet of y_family * boundary_factor + interpolant at x."""
-    return _first_jet(*compose_final_many(spec, params, exps.rho_a, exps.rho_b, bc, np.array([float(x)])))

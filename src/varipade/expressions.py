@@ -129,13 +129,6 @@ class IntegrandExpr:
         return [program.bind(x[k], [v[k] for v in xv]) for k in range(x.shape[0])]
 
 
-@dataclass(frozen=True)
-class IntegrandEval:
-    value: float
-    dF_dy: float
-    dF_ddy: float
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -589,9 +582,3 @@ def eval_integrand_many(expr, x, y, dy, bound=None):
         np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(dy, dtype=float)
     )
     return expr.bind(x)(y, dy)
-
-
-def eval_integrand(expr, x, y, dy):
-    """Scalar integrand evaluation: F and its partials w.r.t. y and dy."""
-    v, ty, tdy = eval_integrand_many(expr, np.float64(x), np.float64(y), np.float64(dy))
-    return IntegrandEval(float(v), float(ty), float(tdy))

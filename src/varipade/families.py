@@ -22,7 +22,7 @@ Parameter layouts (flat vector, in order):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,16 +55,6 @@ class FamilySpec:
         if self.kind == "RBF":
             return f"RBF-[{self.centers}]"
         return f"{self.kind}-{self.degree}"
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Value, x-derivative, and parameter gradients of both at one x."""
-
-    y: float
-    dy_dx: float
-    grad_y: np.ndarray = field(repr=False)
-    grad_dy_dx: np.ndarray = field(repr=False)
 
 
 _PADE_RE = re.compile(r"Pade-\[(\d+)/(\d+)\]\Z")
@@ -409,13 +399,3 @@ def family_jet_many(spec, params, xs):
             and np.isfinite(gy).all() and np.isfinite(gdy).all()):
         raise EvaluationOverflowError(f"non-finite value while evaluating {spec}")
     return y, dy, gy, gdy
-
-
-def _first_jet(y, dy, gy, gdy):
-    """The scalar Jet of the first point of a vectorized jet."""
-    return Jet(float(y[0]), float(dy[0]), gy[:, 0].copy(), gdy[:, 0].copy())
-
-
-def eval_jet(spec, params, x):
-    """Jet of the bare family (no boundary composition) at scalar x."""
-    return _first_jet(*family_jet_many(spec, params, np.array([float(x)])))

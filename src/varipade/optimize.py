@@ -2,8 +2,8 @@
 
 Two algorithms: plain gradient descent and Adam with bias correction.
 `train` owns the whole loop: parameter initialization, grid handling,
-loss recording, and failure capture (a Pade pole or a domain violation
-mid-run produces a failed report instead of an exception).
+loss recording, and failure capture (a Pade pole, a domain violation or an
+overflow mid-run produces a failed report instead of an exception).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .boundary import BoundaryExponents, compose_final_many
-from .errors import VaripadeError
+from .errors import EvaluationOverflowError, VaripadeError
 from .families import init_params, param_count
 from .loss import Plan, loss_and_grad, sample_grid
 
@@ -163,24 +163,30 @@ def train(problem, spec, config=TrainConfig()):
             theta = theta * step_scale
         # (plan, row) of every step: a fixed grid is one row that every step reuses
         grids = itertools.repeat((fixed, 0)) if fixed else _resampled_grids(problem, spec, config)
-        for step in range(config.steps):
-            plan, row = next(grids)
-            loss, grad = loss_and_grad(problem, spec, theta[:pf], exps, plan, row)
-            if step % record_every == 0:
-                history.append((step, loss))
-            if not config.train_exponents:
-                grad[pf:] = 0.0
-            if adam:
-                state, new_theta = adam_step(state, theta, grad, config)
-            else:
-                new_theta = sgd_step(theta, grad, config.learning_rate)
-            theta = theta + step_scale * (new_theta - theta)
-            theta[pf:] = np.clip(theta[pf:], log_lo, log_hi)
-            exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
-            steps_done = step + 1
-            if config.early_stop and _stalled(history, step, config):
-                status = "converged"
-                break
+        # a finite gradient beyond ~1e154 overflows Adam's grad * grad; the
+        # finiteness check of the second moment below reports it
+        with np.errstate(over="ignore"):
+            for step in range(config.steps):
+                plan, row = next(grids)
+                loss, grad = loss_and_grad(problem, spec, theta[:pf], exps, plan, row)
+                if step % record_every == 0:
+                    history.append((step, loss))
+                if not config.train_exponents:
+                    grad[pf:] = 0.0
+                if adam:
+                    state, new_theta = adam_step(state, theta, grad, config)
+                    if not np.isfinite(state.v).all():
+                        raise EvaluationOverflowError(
+                            f"non-finite Adam second moment at step {step} for {spec}")
+                else:
+                    new_theta = sgd_step(theta, grad, config.learning_rate)
+                theta = theta + step_scale * (new_theta - theta)
+                theta[pf:] = np.clip(theta[pf:], log_lo, log_hi)
+                exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
+                steps_done = step + 1
+                if config.early_stop and _stalled(history, step, config):
+                    status = "converged"
+                    break
         loss, _ = loss_and_grad(problem, spec, theta[:pf], exps, fixed or midpoint)
         label = steps_done if not history or history[-1][0] < steps_done else history[-1][0] + 1
         history.append((label, loss))

@@ -5,9 +5,7 @@ from varipade import (
     BoundaryCondition,
     BoundaryExponents,
     DomainError,
-    boundary_factor_jet,
     boundary_factor_many,
-    compose_final,
     compose_final_many,
     init_params,
     linear_interpolant,
@@ -45,12 +43,11 @@ class TestBoundaryFactor:
     def test_value_example(self):
         # (x - 0)^0.75 * (1 - x)^1 at x = 0.5 is 0.5^1.75
         bc = BoundaryCondition(0.0, 1.0, 0.0, 0.0)
-        exps = BoundaryExponents(np.log(0.75), 0.0)
-        jet = boundary_factor_jet(bc, exps, 0.5)
-        assert jet.y == pytest.approx(0.5 ** 1.75, rel=1e-14)
+        fac, dfac, _, _ = boundary_factor_many(bc, np.log(0.75), 0.0, np.array([0.5]))
+        assert fac[0] == pytest.approx(0.5 ** 1.75, rel=1e-14)
         # d/dx = 0.75 x^-0.25 (1-x) - x^0.75
         expected_dy = 0.75 * 0.5 ** -0.25 * 0.5 - 0.5 ** 0.75
-        assert jet.dy_dx == pytest.approx(expected_dy, rel=1e-13)
+        assert dfac[0] == pytest.approx(expected_dy, rel=1e-13)
 
     def test_unit_exponents_give_parabola(self):
         bc = BoundaryCondition(-1.0, 1.0, 0.0, 0.0)
@@ -83,16 +80,15 @@ class TestBoundaryFactor:
         h = 1e-6
         for _ in range(100):
             rho_a, rho_b = rng.uniform(-0.5, 1.2, 2)
-            x = float(rng.uniform(-0.45, 1.95))
-            exps = BoundaryExponents(rho_a, rho_b)
-            jet = boundary_factor_jet(bc, exps, x)
+            xs = np.array([float(rng.uniform(-0.45, 1.95))])
+            _, _, gy, gdy = boundary_factor_many(bc, rho_a, rho_b, xs)
             for k, (da, db) in enumerate(((h, 0.0), (0.0, h))):
-                jp = boundary_factor_jet(bc, BoundaryExponents(rho_a + da, rho_b + db), x)
-                jm = boundary_factor_jet(bc, BoundaryExponents(rho_a - da, rho_b - db), x)
-                fd_y = (jp.y - jm.y) / (2 * h)
-                fd_dy = (jp.dy_dx - jm.dy_dx) / (2 * h)
-                assert jet.grad_y[k] == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
-                assert jet.grad_dy_dx[k] == pytest.approx(fd_dy, rel=1e-5, abs=1e-6)
+                yp, dyp, _, _ = boundary_factor_many(bc, rho_a + da, rho_b + db, xs)
+                ym, dym, _, _ = boundary_factor_many(bc, rho_a - da, rho_b - db, xs)
+                fd_y = (yp[0] - ym[0]) / (2 * h)
+                fd_dy = (dyp[0] - dym[0]) / (2 * h)
+                assert gy[k, 0] == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
+                assert gdy[k, 0] == pytest.approx(fd_dy, rel=1e-5, abs=1e-6)
 
 
 class TestLinearInterpolant:
@@ -115,12 +111,12 @@ class TestComposition:
         spec = parse_structure("Poly-1")
         bc = BoundaryCondition(0.0, 1.0, 0.0, 0.0)
         theta = np.array([0.0, 1.0])
-        jet = compose_final(spec, theta, BoundaryExponents(), bc, 0.5)
-        assert jet.y == pytest.approx(0.25, abs=1e-15)
-        assert jet.dy_dx == pytest.approx(0.0, abs=1e-15)
-        jet = compose_final(spec, theta, BoundaryExponents(), bc, 0.25)
-        assert jet.y == pytest.approx(0.1875, abs=1e-15)
-        assert jet.dy_dx == pytest.approx(0.5, abs=1e-14)
+        y, dy, _, _ = compose_final_many(spec, theta, 0.0, 0.0, bc, np.array([0.5]))
+        assert y[0] == pytest.approx(0.25, abs=1e-15)
+        assert dy[0] == pytest.approx(0.0, abs=1e-15)
+        y, dy, _, _ = compose_final_many(spec, theta, 0.0, 0.0, bc, np.array([0.25]))
+        assert y[0] == pytest.approx(0.1875, abs=1e-15)
+        assert dy[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_interpolant_recovered_with_zero_family(self):
         spec = parse_structure("Leg-3")
@@ -156,16 +152,15 @@ class TestComposition:
             theta = np.concatenate(
                 [init_params(spec, int(rng.integers(1 << 30))), rng.uniform(-0.3, 0.8, 2)]
             )
-            x = float(rng.uniform(0.05, 0.95))
-            exps = BoundaryExponents(theta[pf], theta[pf + 1])
-            jet = compose_final(spec, theta[:pf], exps, bc, x)
+            xs = np.array([float(rng.uniform(0.05, 0.95))])
+            _, _, gy, gdy = compose_final_many(spec, theta[:pf], theta[pf], theta[pf + 1], bc, xs)
             for k in range(pf + 2):
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h
                 tm[k] -= h
-                jp = compose_final(spec, tp[:pf], BoundaryExponents(tp[pf], tp[pf + 1]), bc, x)
-                jm = compose_final(spec, tm[:pf], BoundaryExponents(tm[pf], tm[pf + 1]), bc, x)
-                fd_y = (jp.y - jm.y) / (2 * h)
-                fd_dy = (jp.dy_dx - jm.dy_dx) / (2 * h)
-                assert jet.grad_y[k] == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
-                assert jet.grad_dy_dx[k] == pytest.approx(fd_dy, rel=1e-5, abs=1e-6)
+                yp, dyp, _, _ = compose_final_many(spec, tp[:pf], tp[pf], tp[pf + 1], bc, xs)
+                ym, dym, _, _ = compose_final_many(spec, tm[:pf], tm[pf], tm[pf + 1], bc, xs)
+                fd_y = (yp[0] - ym[0]) / (2 * h)
+                fd_dy = (dyp[0] - dym[0]) / (2 * h)
+                assert gy[k, 0] == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
+                assert gdy[k, 0] == pytest.approx(fd_dy, rel=1e-5, abs=1e-6)

@@ -5,7 +5,6 @@ from varipade import (
     InvalidStructureError,
     PoleError,
     StructureSyntaxError,
-    eval_jet,
     family_jet_many,
     init_params,
     legendre_table,
@@ -83,31 +82,31 @@ class TestInit:
         assert np.allclose(widths, 2.0 / 8)
 
 
-class TestEvalJet:
+class TestFamilyJet:
     def test_constant_rational(self):
         spec = parse_structure("Pade-[2/2]")
         theta = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 2.0])
-        jet = eval_jet(spec, theta, 0.7)
-        assert jet.y == 0.5
-        assert jet.dy_dx == 0.0
+        y, dy, _, _ = family_jet_many(spec, theta, np.array([0.7]))
+        assert y[0] == 0.5
+        assert dy[0] == 0.0
 
     def test_mlp_zero_weights(self):
         spec = parse_structure("MLP-[[1,sigmoid]]")
         theta = np.zeros(param_count(spec))
-        assert eval_jet(spec, theta, 3.0).y == 0.0
+        assert family_jet_many(spec, theta, np.array([3.0]))[0][0] == 0.0
         theta[-1] = 0.25
-        assert eval_jet(spec, theta, 3.0).y == 0.25
+        assert family_jet_many(spec, theta, np.array([3.0]))[0][0] == 0.25
 
     def test_legendre_p2_at_zero(self):
         spec = parse_structure("Leg-2")
-        jet = eval_jet(spec, np.array([0.0, 1.0, 0.0]), 0.0)
-        assert jet.y == pytest.approx(-0.5, abs=1e-15)
+        y, _, _, _ = family_jet_many(spec, np.array([0.0, 1.0, 0.0]), np.array([0.0]))
+        assert y[0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_pade_pole(self):
         spec = parse_structure("Pade-[3/1]")
         theta = np.array([0.1, 0.2, 0.3, 0.0, -1.0, 1.0])
         with pytest.raises(PoleError) as exc:
-            eval_jet(spec, theta, 1.0)
+            family_jet_many(spec, theta, np.array([1.0]))
         assert exc.value.x == 1.0
 
     def test_pade_degenerates_to_poly(self, rng):
@@ -148,22 +147,25 @@ def test_jet_matches_finite_differences(structure, rng):
     h = 1e-6
     for _ in range(200):
         theta = init_params(spec, int(rng.integers(1 << 30))) + rng.normal(0, 0.3, pf)
-        x = float(rng.uniform(-0.95, 0.95))
-        jet = eval_jet(spec, theta, x)
+        xs = np.array([float(rng.uniform(-0.95, 0.95))])
+        y, dy, gy, gdy = family_jet_many(spec, theta, xs)
         # combined tolerance: central differences lose ~1e-16*|f|/h to cancellation
-        scale = 1.0 + abs(jet.y) + abs(jet.dy_dx)
+        scale = 1.0 + abs(y[0]) + abs(dy[0])
         tol = lambda fd: 1e-5 * abs(fd) + 1e-6 * scale
-        fd_dx = (eval_jet(spec, theta, x + h).y - eval_jet(spec, theta, x - h).y) / (2 * h)
-        assert abs(jet.dy_dx - fd_dx) <= tol(fd_dx)
+        y_right = family_jet_many(spec, theta, xs + h)[0]
+        y_left = family_jet_many(spec, theta, xs - h)[0]
+        fd_dx = (y_right[0] - y_left[0]) / (2 * h)
+        assert abs(dy[0] - fd_dx) <= tol(fd_dx)
         for k in range(pf):
             tp, tm = theta.copy(), theta.copy()
             tp[k] += h
             tm[k] -= h
-            jp, jm = eval_jet(spec, tp, x), eval_jet(spec, tm, x)
-            fd_y = (jp.y - jm.y) / (2 * h)
-            fd_dy = (jp.dy_dx - jm.dy_dx) / (2 * h)
-            assert abs(jet.grad_y[k] - fd_y) <= tol(fd_y)
-            assert abs(jet.grad_dy_dx[k] - fd_dy) <= tol(fd_dy)
+            yp, dyp, _, _ = family_jet_many(spec, tp, xs)
+            ym, dym, _, _ = family_jet_many(spec, tm, xs)
+            fd_y = (yp[0] - ym[0]) / (2 * h)
+            fd_dy = (dyp[0] - dym[0]) / (2 * h)
+            assert abs(gy[k, 0] - fd_y) <= tol(fd_y)
+            assert abs(gdy[k, 0] - fd_dy) <= tol(fd_dy)
 
 
 @pytest.mark.parametrize("structure", ALL_FAMILIES)

@@ -182,6 +182,17 @@ class TestTrain:
         assert report.failure_reason == reason
         assert report.steps_done == 0 and report.failure_step == 0
 
+    def test_overflowing_adam_moment_fails_without_a_numpy_warning(self):
+        # the first gradient exceeds 1e154 on this interval, so Adam's grad * grad overflows
+        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e30, 0.0, 1.0))
+        config = TrainConfig(steps=20, precondition=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = train(problem, parse_structure("Pade-[3/3]"), config)
+        assert report.status == "failed"
+        assert report.failure_reason == "non-finite Adam second moment at step 0 for Pade-[3/3]"
+        assert report.steps_done == 0 and report.failure_step == 0
+
     def test_steps_done(self):
         case = builtin_cases()[4]
         report = train(case.problem, parse_structure("Poly-3"), _tiny_config(steps=30))
