@@ -138,8 +138,6 @@ def linear_interpolant(bc, x):
     value = np.asarray(x, dtype=float) * slope + (bc.x_b * bc.y_a - bc.y_b * bc.x_a) / (
         bc.x_b - bc.x_a
     )
-    if np.ndim(x) == 0:
-        return float(value), slope
     return value, slope
 
 

@@ -10,7 +10,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .boundary import BoundaryCondition
 from .errors import VaripadeError
@@ -158,14 +157,7 @@ def cmd_run(args):
     config = _train_config_from_dict(cfg.get("train", {}))
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
-
-    retries = getattr(args, "retry", 0) or 0
     report = train(problem, spec, config)
-    while report.status == "failed" and retries > 0:
-        retries -= 1
-        config = replace(config, seed=config.seed + 1)
-        report = train(problem, spec, config)
-
     _write_loss_csv(os.path.join(out_dir, "loss.csv"), report.loss_history, j_exact)
     rel = None
     if j_exact is not None and report.status != "failed":
@@ -335,8 +327,6 @@ def build_parser():
     run.add_argument("--out", help="output directory")
     run.add_argument("--freeze-exponents", action="store_true",
                      help="keep both boundary exponents fixed at 1")
-    run.add_argument("--retry", type=int, default=0,
-                     help="on failure, retry up to N times with seed+1")
     run.add_argument("--precondition", action="store_true",
                      help="scale per-coordinate steps by inverse initial sensitivity")
     _add_train_flags(run)

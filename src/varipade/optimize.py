@@ -12,7 +12,7 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,64 +26,53 @@ from .loss import Plan, loss_and_grad, sample_grid
 # block's tables take about 1-2 MB for the structures of the paper
 _BLOCK_POINTS = 8192
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# trust region for the boundary exponents m_a, m_b; without it descent can
+# shrink an exponent toward 0, hiding the endpoint transition between
+# sample points and optimizing away the boundary condition
+EXPONENT_BOUNDS = (0.5, 4.0)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     algorithm: str = "adam"  # adam | sgd
     learning_rate: float = 0.01
     steps: int = 20000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     grid_n: int = 1000
     grid_mode: str = "midpoint"  # midpoint | random (resampled every step)
     seed: int = 0
     record_every: int = 50
     train_exponents: bool = True
-    # trust region for the boundary exponents m_a, m_b; without it descent can
-    # shrink an exponent toward 0, hiding the endpoint transition between
-    # sample points and optimizing away the boundary condition
-    exponent_bounds: tuple = (0.5, 4.0)
     # diagonal preconditioning: shrink the step (and initial weight) of any
     # coordinate whose output sensitivity at initialization exceeds 1; rescues
     # high-order polynomial bases on intervals wider than [-1, 1]
     precondition: bool = False
-    early_stop: bool = False
-    early_stop_tol: float = 1e-12
-    early_stop_window: int = 100
 
     def __post_init__(self):
         if self.algorithm not in ("adam", "sgd"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.grid_mode not in ("midpoint", "random"):
             raise ValueError(f"unknown grid_mode {self.grid_mode!r}")
-        for name in ("steps", "grid_n", "record_every", "seed", "early_stop_window"):
+        for name in ("steps", "grid_n", "record_every", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps", "early_stop_tol"):
-            if not _finite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("train_exponents", "precondition"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not _finite(self.learning_rate):
+            raise ValueError(f"learning_rate must be a finite number, got {self.learning_rate!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive and finite")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("Adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
-        if self.early_stop_tol < 0:
-            raise ValueError("early_stop_tol must be nonnegative")
-        if self.grid_n < 1 or self.record_every < 1 or self.early_stop_window < 1:
-            raise ValueError("grid_n, record_every and early_stop_window must be positive")
-        bounds = self.exponent_bounds
-        if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(map(_finite, bounds))):
-            raise ValueError(f"exponent_bounds must be two finite numbers, got {bounds!r}")
-        lo, hi = bounds
-        if not (0 < lo <= 1.0 <= hi):
-            raise ValueError("exponent_bounds must bracket the initial m = 1")
+        if self.grid_n < 1 or self.record_every < 1:
+            raise ValueError("grid_n and record_every must be positive")
 
 
 def _finite(value):
@@ -94,10 +83,9 @@ def _finite(value):
 class TrainReport:
     loss_history: list  # [(step, loss)]
     final_params: np.ndarray = field(repr=False)  # family params + (rho_a, rho_b)
-    final_loss: float = float("nan")
     j_final: float = float("nan")
     wall_time_ms: float = 0.0
-    status: str = "max_steps"  # converged | max_steps | failed
+    status: str = "max_steps"  # max_steps | failed
     failure_reason: Optional[str] = None
     steps_done: int = 0  # optimizer updates applied
     failure_step: Optional[int] = None  # the step whose evaluation failed (= steps_done)
@@ -127,14 +115,14 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n))
 
 
-def adam_step(state, params, grad, config):
+def adam_step(state, params, grad, lr):
     """One Adam update with bias correction; returns (new state, new params)."""
     t = state.t + 1
-    m = config.adam_beta1 * state.m + (1.0 - config.adam_beta1) * grad
-    v = config.adam_beta2 * state.v + (1.0 - config.adam_beta2) * grad * grad
-    m_hat = m / (1.0 - config.adam_beta1 ** t)
-    v_hat = v / (1.0 - config.adam_beta2 ** t)
-    new_params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return AdamState(m, v, t), new_params
 
 
@@ -147,7 +135,7 @@ def train(problem, spec, config=TrainConfig()):
     adam = config.algorithm == "adam"
     state = AdamState.zeros(pf + 2) if adam else None
     record_every = config.record_every
-    log_lo, log_hi = np.log(config.exponent_bounds[0]), np.log(config.exponent_bounds[1])
+    log_lo, log_hi = np.log(EXPONENT_BOUNDS[0]), np.log(EXPONENT_BOUNDS[1])
     step_scale = 1.0
     history = []
     status = "max_steps"
@@ -174,7 +162,7 @@ def train(problem, spec, config=TrainConfig()):
                 if not config.train_exponents:
                     grad[pf:] = 0.0
                 if adam:
-                    state, new_theta = adam_step(state, theta, grad, config)
+                    state, new_theta = adam_step(state, theta, grad, config.learning_rate)
                     if not np.isfinite(state.v).all():
                         raise EvaluationOverflowError(
                             f"non-finite Adam second moment at step {step} for {spec}")
@@ -184,12 +172,8 @@ def train(problem, spec, config=TrainConfig()):
                 theta[pf:] = np.clip(theta[pf:], log_lo, log_hi)
                 exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
                 steps_done = step + 1
-                if config.early_stop and _stalled(history, step, config):
-                    status = "converged"
-                    break
         loss, _ = loss_and_grad(problem, spec, theta[:pf], exps, fixed or midpoint)
-        label = steps_done if not history or history[-1][0] < steps_done else history[-1][0] + 1
-        history.append((label, loss))
+        history.append((steps_done, loss))
     except VaripadeError as exc:
         status = "failed"
         reason = str(exc)
@@ -199,7 +183,6 @@ def train(problem, spec, config=TrainConfig()):
     return TrainReport(
         loss_history=history,
         final_params=theta,
-        final_loss=float(loss),
         j_final=float(loss),
         wall_time_ms=elapsed,
         status=status,
@@ -249,12 +232,3 @@ def _sensitivity_scale(problem, spec, theta, grid):
     scale[pf:] = 1.0
     return scale
 
-
-def _stalled(history, step, config):
-    if len(history) < 2:
-        return False
-    window = config.early_stop_window
-    recent = [l for s, l in history if s >= step - window]
-    if len(recent) < 2:
-        return False
-    return abs(recent[-1] - recent[0]) < config.early_stop_tol

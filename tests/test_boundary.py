@@ -93,10 +93,10 @@ class TestBoundaryFactor:
 
 class TestLinearInterpolant:
     def test_examples(self):
-        value, slope = linear_interpolant(BoundaryCondition(0.0, 1.0, 2.0, 4.0), 0.5)
-        assert (value, slope) == (3.0, 2.0)
-        value, slope = linear_interpolant(BoundaryCondition(-1.0, 3.0, 1.0, 1.0), 2.0)
-        assert (value, slope) == (1.0, 0.0)
+        value, slope = linear_interpolant(BoundaryCondition(0.0, 1.0, 2.0, 4.0), np.array([0.5]))
+        assert (value[0], slope) == (3.0, 2.0)
+        value, slope = linear_interpolant(BoundaryCondition(-1.0, 3.0, 1.0, 1.0), np.array([2.0]))
+        assert (value[0], slope) == (1.0, 0.0)
 
     def test_vectorized_hits_endpoint_values(self):
         bc = BoundaryCondition(0.5, 2.5, -1.0, 7.0)

@@ -93,8 +93,6 @@ class TestRun:
         summary = read_summary(out1)
         # the echoed config must reproduce the run exactly
         cfg = dict(summary["config"])
-        cfg["train"] = {k: v for k, v in cfg["train"].items()}
-        cfg["train"]["exponent_bounds"] = tuple(cfg["train"]["exponent_bounds"])
         cfg["output_dir"] = str(tmp_path / "second")
         cfg_path = tmp_path / "rerun.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -114,6 +112,15 @@ class TestRun:
         path.write_text(json.dumps({"problem": {"builtin": "parabolic"}}))
         assert main(["run", "--config", str(path)]) == 1
         assert "structure" in capsys.readouterr().err
+
+    def test_unknown_train_field(self, tmp_path, capsys):
+        path = tmp_path / "early.json"
+        path.write_text(json.dumps({"problem": {"builtin": "parabolic"}, "structure": "Poly-3",
+                                    "train": {"steps": 10, "early_stop": True},
+                                    "output_dir": str(tmp_path / "x")}))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown train config fields" in err and "early_stop" in err
 
 
 class TestBench:
