@@ -113,14 +113,32 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 1
         assert "structure" in capsys.readouterr().err
 
-    def test_unknown_train_field(self, tmp_path, capsys):
-        path = tmp_path / "early.json"
+    # a config file written before these knobs were removed fails loudly
+    # instead of silently training with a different recipe
+    @pytest.mark.parametrize("name, value", [
+        ("early_stop", True),
+        ("early_stop_tol", 1e-9),
+        ("early_stop_window", 50),
+        ("adam_beta1", 0.9),
+        ("adam_beta2", 0.999),
+        ("adam_eps", 1e-8),
+        ("exponent_bounds", [0.5, 4.0]),
+    ])
+    def test_unknown_train_field(self, tmp_path, capsys, name, value):
+        path = tmp_path / "stale.json"
         path.write_text(json.dumps({"problem": {"builtin": "parabolic"}, "structure": "Poly-3",
-                                    "train": {"steps": 10, "early_stop": True},
+                                    "train": {"steps": 10, name: value},
                                     "output_dir": str(tmp_path / "x")}))
         assert main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "unknown train config fields" in err and "early_stop" in err
+        assert "unknown train config fields" in err and name in err
+        assert not (tmp_path / "x").exists()
+
+    def test_retry_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "parabolic", "--structure", "Poly-3",
+                  "--out", str(tmp_path / "x"), "--retry"] + FAST)
+        assert exc.value.code == 2
 
 
 class TestBench:

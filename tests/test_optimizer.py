@@ -49,7 +49,10 @@ class TestConfig:
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
         {"precondition": "false"},
+        {"precondition": 1},
         {"train_exponents": 0},
+        {"train_exponents": None},
+        {"learning_rate": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -73,6 +76,19 @@ class TestSteps:
         grad = np.array([3.0, -0.004, 1e-3])
         _, new = adam_step(AdamState.zeros(3), np.zeros(3), grad, 0.05)
         assert np.allclose(new, -0.05 * np.sign(grad), rtol=1e-4)
+
+    def test_adam_two_steps_match_reference(self):
+        # the fixed recipe: beta1 = 0.9, beta2 = 0.999, eps = 1e-8
+        g1, g2, lr = 2.0, -0.5, 0.01
+        m1, v1 = 0.1 * g1, 0.001 * g1 * g1
+        w1 = -lr * (m1 / 0.1) / (math.sqrt(v1 / 0.001) + 1e-8)
+        m2, v2 = 0.9 * m1 + 0.1 * g2, 0.999 * v1 + 0.001 * g2 * g2
+        w2 = w1 - lr * (m2 / (1 - 0.9 ** 2)) / (math.sqrt(v2 / (1 - 0.999 ** 2)) + 1e-8)
+        state, w = adam_step(AdamState.zeros(1), np.zeros(1), np.array([g1]), lr)
+        assert math.isclose(w[0], w1, rel_tol=1e-12)
+        state, w = adam_step(state, w, np.array([g2]), lr)
+        assert state.t == 2
+        assert math.isclose(w[0], w2, rel_tol=1e-12)
 
     def test_quadratic_convergence(self):
         # minimize (w - 1)^2 elementwise with both algorithms
