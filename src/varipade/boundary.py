@@ -19,12 +19,12 @@ tables computed once per grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, EvaluationOverflowError
-from .families import family_jet_many, param_count
+from .families import _EACH, _SUM, family_jet_many, unit_weights
 
 
 @dataclass(frozen=True)
@@ -103,32 +103,37 @@ class BoundaryTables:
 
         pullback(cy, cdy), with cy and cdy the loss's weights on y and dy,
         returns the family's weights (c1, c2) on fy and fdy and the gradient
-        over (rho_a, rho_b).
+        over (rho_a, rho_b); pullback(cy, cdy, _EACH) returns that gradient's
+        (N, 2) per-point terms.
         """
         m_a, m_b, fac, logistic = self.factor(rho_a, rho_b)
         dfac = fac * logistic
         y = fy * fac + self.gval
         dy = fdy * fac + fy * dfac + self.gslope
 
-        def pullback(cy, cdy):
-            # the exponent rows of boundary_factor_many against fy*cy + fdy*cdy and fy*cdy
+        def pullback(cy, cdy, terms=_SUM):
+            # d fac / d rho_a = fac * m_a * log_u, and d dfac / d rho_a adds m_a * fac / u
+            dot, _ = terms
             s1 = fac * (fy * cy + fdy * cdy)
             s2 = fac * (fy * cdy)
             t = s1 + logistic * s2
-            grad = np.array([m_a * (self.log_u @ t + self.inv_u @ s2),
-                             m_b * (self.log_v @ t - self.inv_v @ s2)])
+            grad = np.stack([m_a * (dot(self.log_u, t) + dot(self.inv_u, s2)),
+                             m_b * (dot(self.log_v, t) - dot(self.inv_v, s2))], axis=-1)
             return cy * fac + cdy * dfac, cdy * fac, grad
 
         return y, dy, pullback
 
 
 def boundary_factor_many(bc, rho_a, rho_b, xs):
-    """Vectorized jet of the boundary factor; the two gradient rows are (rho_a, rho_b)."""
-    t = BoundaryTables(bc, np.asarray(xs, dtype=float))
-    m_a, m_b, fac, logistic = t.factor(rho_a, rho_b)  # logistic: d/dx of log(fac)
-    dfac = fac * logistic
-    gy = np.array([fac * m_a * t.log_u, fac * m_b * t.log_v])
-    gdy = np.array([fac * m_a * (t.log_u * logistic + t.inv_u), fac * m_b * (t.log_v * logistic - t.inv_v)])
+    """Vectorized jet of the boundary factor; the two gradient rows are (rho_a, rho_b).
+
+    It is the composition of the constant family 1 between zero end values.
+    """
+    xs = np.asarray(xs, dtype=float)
+    weights = unit_weights(xs.shape[0])  # the first is the constant family's (y, dy)
+    tables = BoundaryTables(replace(bc, y_a=0.0, y_b=0.0), xs)
+    fac, dfac, pullback = tables.compose(*weights[0], rho_a, rho_b)
+    gy, gdy = (pullback(*w, _EACH)[2].T for w in weights)
     return fac, dfac, gy, gdy
 
 
@@ -148,19 +153,12 @@ def compose_final_many(spec, params, rho_a, rho_b, bc, xs):
     (family params..., rho_a, rho_b), param_count(spec) + 2 in all.
     """
     xs = np.asarray(xs, dtype=float)
-    pf = param_count(spec)
     fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs)
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
-        by, bdy, bgy, bgdy = boundary_factor_many(bc, rho_a, rho_b, xs)
-        gval, gslope = linear_interpolant(bc, xs)
-        y = fy * by + gval
-        dy = fdy * by + fy * bdy + gslope
-        gy = np.empty((pf + 2, xs.shape[0]))
-        gdy = np.empty((pf + 2, xs.shape[0]))
-        gy[:pf] = fgy * by
-        gy[pf:] = fy * bgy
-        gdy[:pf] = fgdy * by + fgy * bdy
-        gdy[pf:] = fdy * bgy + fy * bgdy
+        y, dy, pullback = BoundaryTables(bc, xs).compose(fy, fdy, rho_a, rho_b)
+        # the composition's per-point weights (c1, c2) on the family's y and dy rows
+        gy, gdy = (np.concatenate([fgy * c1 + fgdy * c2, grad.T])
+                   for c1, c2, grad in (pullback(*w, _EACH) for w in unit_weights(xs.shape[0])))
     if not (np.isfinite(y).all() and np.isfinite(dy).all()
             and np.isfinite(gy).all() and np.isfinite(gdy).all()):
         raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")

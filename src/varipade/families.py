@@ -171,11 +171,15 @@ def legendre_table(deg, xs):
     return p, dp
 
 
-# Each family computes its values on a grid once and returns two ways to
-# differentiate them: rows() gives the dense (P, N) gradient rows of y and dy
-# (the forward jet, for `family_jet_many`), and pullback(c1, c2) gives
-# grad_y @ c1 + grad_dy @ c2 without forming them (for `loss_and_grad`).
+# Each family computes its values on a grid once and returns them with
+# pullback(c1, c2, terms), the parameter gradient of sum(c1 * y + c2 * dy).
+# `terms` = (dot(table, c), total(c)) takes the sum over the grid: _SUM gives
+# the (P,) gradient that `loss_and_grad` reads, and _EACH its (N, P) per-point
+# terms, the dense jet's rows at weights (1, 0) and (0, 1).
 # `tables` is what `family_tables` computed from the grid alone.
+_SUM = (np.matmul, lambda c: c.sum(keepdims=True))
+_EACH = (lambda a, c: (a * c).T, lambda c: c[:, None])
+
 
 def _pade(spec, theta, tables):
     m, n = spec.pade_m, spec.pade_n
@@ -196,32 +200,18 @@ def _pade(spec, theta, tables):
     y = num * inv
     dy = dnum * inv - num * dden * inv2
 
-    def rows():
-        gy = np.empty((m + n + 2, xs.shape[0]))
-        gdy = np.empty_like(gy)
-        gy[:m] = p[:m] * inv
-        gy[m] = inv
-        gy[m + 1 : m + 1 + n] = -num * p[:n] * inv2
-        gy[m + 1 + n] = -num * inv2
-        gdy[:m] = dp[:m] * inv - p[:m] * dden * inv2
-        gdy[m] = -dden * inv2
-        gdy[m + 1 : m + 1 + n] = (
-            -dnum * p[:n] * inv2 - num * dp[:n] * inv2 + 2.0 * num * dden * p[:n] * inv2 * inv
-        )
-        gdy[m + 1 + n] = -dnum * inv2 + 2.0 * num * dden * inv2 * inv
-        return gy, gdy
-
-    def pullback(c1, c2):
+    def pullback(c1, c2, terms=_SUM):
         # numerator rows read (a1, a2), denominator rows (e1, e2), against (p, dp)
+        dot, total = terms
         a1 = inv * c1 - dden * inv2 * c2
         a2 = inv * c2
         e1 = inv2 * ((2.0 * num * dden * inv - dnum) * c2 - num * c1)
         e2 = -num * inv2 * c2
         return np.concatenate([
-            p[:m] @ a1 + dp[:m] @ a2, [a1.sum()], p[:n] @ e1 + dp[:n] @ e2, [e1.sum()],
-        ])
+            dot(p[:m], a1) + dot(dp[:m], a2), total(a1), dot(p[:n], e1) + dot(dp[:n], e2), total(e1),
+        ], axis=-1)
 
-    return y, dy, rows, pullback
+    return y, dy, pullback
 
 
 def _basis(spec, theta, tables):
@@ -232,18 +222,11 @@ def _basis(spec, theta, tables):
     y = w @ p + theta[deg]
     dy = w @ dp
 
-    def rows():
-        gy = np.empty((deg + 1, p.shape[1]))
-        gy[:deg] = p
-        gy[deg] = 1.0
-        gdy = np.zeros_like(gy)
-        gdy[:deg] = dp
-        return gy, gdy
+    def pullback(c1, c2, terms=_SUM):
+        dot, total = terms
+        return np.concatenate([dot(p, c1) + dot(dp, c2), total(c1)], axis=-1)
 
-    def pullback(c1, c2):
-        return np.concatenate([p @ c1 + dp @ c2, [c1.sum()]])
-
-    return y, dy, rows, pullback
+    return y, dy, pullback
 
 
 def _rbf(spec, theta, xs):
@@ -259,36 +242,23 @@ def _rbf(spec, theta, xs):
     y = w @ phi + b
     dy = w @ phix
 
-    def rows():
-        wc = w[:, None]
-        gy = np.empty((3 * l + 1, xs.shape[0]))
-        gdy = np.empty_like(gy)
-        gy[:l] = phi
-        gy[l : 2 * l] = wc * phi * u / s
-        gy[2 * l : 3 * l] = wc * phi * u * u / (2.0 * s)
-        gy[3 * l] = 1.0
-        gdy[:l] = phix
-        gdy[l : 2 * l] = wc * phi * (1.0 / s - u * u / (s * s))
-        gdy[2 * l : 3 * l] = wc * (phi * u / s - phi * u ** 3 / (2.0 * s * s))
-        gdy[3 * l] = 0.0
-        return gy, gdy
-
-    def pullback(c1, c2):
+    def pullback(c1, c2, terms=_SUM):
+        dot, total = terms
         q = phi * u / s  # d phi / d c
         r = q * u  # 2 d phi / d rho
-        qc2 = q @ c2
+        qc2 = dot(q, c2)
         return np.concatenate([
-            phi @ c1 - qc2,
-            w * (q @ c1 + (phi @ c2 - r @ c2) / sig),
-            w * (0.5 * (r @ c1) + qc2 - 0.5 * ((r * u) @ c2) / sig),
-            [c1.sum()],
-        ])
+            dot(phi, c1) - qc2,
+            w * (dot(q, c1) + (dot(phi, c2) - dot(r, c2)) / sig),
+            w * (0.5 * dot(r, c1) + qc2 - 0.5 * dot(r * u, c2) / sig),
+            total(c1),
+        ], axis=-1)
 
-    return y, dy, rows, pullback
+    return y, dy, pullback
 
 
 def _mlp(spec, theta, xs):
-    """The MLP carries all P tangents forward, so its rows come with its values."""
+    """The MLP carries all P tangents forward; its pullback contracts them."""
     n = xs.shape[0]
     gy = np.zeros((param_count(spec), n))
     gdy = np.zeros_like(gy)
@@ -332,7 +302,7 @@ def _mlp(spec, theta, xs):
     gy[o : o + width] += h
     gy[o + width] += 1.0
     gdy[o : o + width] += hx
-    return y, dy, lambda: (gy, gdy), lambda c1, c2: gy @ c1 + gdy @ c2
+    return y, dy, lambda c1, c2, terms=_SUM: terms[0](gy, c1) + terms[0](gdy, c2)
 
 
 _FAMILIES = {"Pade": _pade, "Leg": _basis, "Poly": _basis, "RBF": _rbf, "MLP": _mlp}
@@ -365,22 +335,24 @@ def table_row(tables, k):
     return tables[k]
 
 
-def _family_params(spec, params):
-    theta = np.asarray(params, dtype=float)
-    pf = param_count(spec)
-    if theta.shape[0] < pf:
-        raise ValueError(f"parameter vector of length {theta.shape[0]} too short for {spec}")
-    return theta[:pf]
+def unit_weights(n):
+    """Weights (1, 0) and (0, 1) on (y, dy) at n points, which pick out the jet's rows."""
+    one, zero = np.ones(n), np.zeros(n)
+    return (one, zero), (zero, one)
 
 
 def family_forward(spec, params, tables):
     """Family values on a grid and the pullback of their parameter gradient.
 
     `tables` is family_tables(spec, xs). Returns (y, dy_dx, pullback), where
-    pullback(c1, c2) is the (P,) gradient of sum(c1 * y + c2 * dy_dx).
+    pullback(c1, c2) is the (P,) gradient of sum(c1 * y + c2 * dy_dx), and
+    pullback(c1, c2, _EACH) its (N, P) terms, one row per point.
     """
-    y, dy, _, pullback = _FAMILIES[spec.kind](spec, _family_params(spec, params), tables)
-    return y, dy, pullback
+    theta = np.asarray(params, dtype=float)
+    pf = param_count(spec)
+    if theta.shape[0] < pf:
+        raise ValueError(f"parameter vector of length {theta.shape[0]} too short for {spec}")
+    return _FAMILIES[spec.kind](spec, theta[:pf], tables)
 
 
 def family_jet_many(spec, params, xs):
@@ -388,13 +360,14 @@ def family_jet_many(spec, params, xs):
 
     Returns (y, dy_dx, grad_y, grad_dy_dx) with shapes (N,), (N,),
     (P, N), (P, N), where P = param_count(spec); only the first P
-    entries of `params` are read.
+    entries of `params` are read. The gradient rows are the per-point terms
+    of the training pullback at weights (1, 0) and (0, 1).
     """
     xs = np.asarray(xs, dtype=float)
     tables = family_tables(spec, xs)
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
-        y, dy, jet_rows, _ = _FAMILIES[spec.kind](spec, _family_params(spec, params), tables)
-        gy, gdy = jet_rows()
+        y, dy, pullback = family_forward(spec, params, tables)
+        gy, gdy = (pullback(*w, _EACH).T for w in unit_weights(xs.shape[0]))
     if not (np.isfinite(y).all() and np.isfinite(dy).all()
             and np.isfinite(gy).all() and np.isfinite(gdy).all()):
         raise EvaluationOverflowError(f"non-finite value while evaluating {spec}")
