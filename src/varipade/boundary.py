@@ -11,10 +11,11 @@ rho with m = exp(rho), keeping them positive under unconstrained
 optimization.
 
 The flat parameter layout is the family parameters, then rho_a and rho_b.
-`compose_final_many` is the forward jet of the composition: dense gradient
-rows, kept for evaluation, the step preconditioner and as the test oracle.
-Training pulls the loss back through `BoundaryTables.compose` instead, on
-tables computed once per grid.
+Training pulls the loss back through `BoundaryTables.compose`, on tables
+computed once per grid. `compose_final_many` is the jet of the
+composition, with dense gradient rows, kept for evaluation, the step
+preconditioner and as the test oracle: its rows are the per-point terms of
+that same pullback, so the chain rule is written once.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ class BoundaryCondition:
             raise ValueError(f"boundary values must be finite, got {self}")
         if not self.x_b - self.x_a > 0:
             raise ValueError(f"need x_a < x_b, got [{self.x_a}, {self.x_b}]")
+
+    @property
+    def table_scale(self):
+        """Pade, Leg and Poly read x / table_scale, which lies in [-1, 1] on the interval."""
+        return max(1.0, abs(self.x_a), abs(self.x_b))
 
 
 @dataclass(frozen=True)
@@ -91,22 +97,17 @@ class BoundaryTables:
         t.gslope = self.gslope
         return t
 
-    def factor(self, rho_a, rho_b):
-        """(m_a, m_b, factor, d/dx of log(factor)) at exponents exp(rho)."""
-        m_a = np.exp(rho_a)
-        m_b = np.exp(rho_b)
-        fac = self.u ** m_a * self.v ** m_b
-        return m_a, m_b, fac, m_a / self.u - m_b / self.v
-
     def compose(self, fy, fdy, rho_a, rho_b):
         """Composed y, dy from family values fy, fdy, and the pullback of a loss.
 
         pullback(cy, cdy), with cy and cdy the loss's weights on y and dy,
         returns the family's weights (c1, c2) on fy and fdy and the gradient
         over (rho_a, rho_b); pullback(cy, cdy, _EACH) returns that gradient's
-        (N, 2) per-point terms.
+        per-point terms as (2, N) rows.
         """
-        m_a, m_b, fac, logistic = self.factor(rho_a, rho_b)
+        m_a, m_b = np.exp(rho_a), np.exp(rho_b)
+        fac = self.u ** m_a * self.v ** m_b
+        logistic = m_a / self.u - m_b / self.v  # d/dx of log(fac)
         dfac = fac * logistic
         y = fy * fac + self.gval
         dy = fdy * fac + fy * dfac + self.gslope
@@ -117,8 +118,8 @@ class BoundaryTables:
             s1 = fac * (fy * cy + fdy * cdy)
             s2 = fac * (fy * cdy)
             t = s1 + logistic * s2
-            grad = np.stack([m_a * (dot(self.log_u, t) + dot(self.inv_u, s2)),
-                             m_b * (dot(self.log_v, t) - dot(self.inv_v, s2))], axis=-1)
+            grad = np.array([m_a * (dot(self.log_u, t) + dot(self.inv_u, s2)),
+                             m_b * (dot(self.log_v, t) - dot(self.inv_v, s2))])
             return cy * fac + cdy * dfac, cdy * fac, grad
 
         return y, dy, pullback
@@ -133,7 +134,7 @@ def boundary_factor_many(bc, rho_a, rho_b, xs):
     weights = unit_weights(xs.shape[0])  # the first is the constant family's (y, dy)
     tables = BoundaryTables(replace(bc, y_a=0.0, y_b=0.0), xs)
     fac, dfac, pullback = tables.compose(*weights[0], rho_a, rho_b)
-    gy, gdy = (pullback(*w, _EACH)[2].T for w in weights)
+    gy, gdy = (pullback(*w, _EACH)[2] for w in weights)
     return fac, dfac, gy, gdy
 
 
@@ -153,11 +154,11 @@ def compose_final_many(spec, params, rho_a, rho_b, bc, xs):
     (family params..., rho_a, rho_b), param_count(spec) + 2 in all.
     """
     xs = np.asarray(xs, dtype=float)
-    fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs)
+    fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs, bc.table_scale)
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
         y, dy, pullback = BoundaryTables(bc, xs).compose(fy, fdy, rho_a, rho_b)
         # the composition's per-point weights (c1, c2) on the family's y and dy rows
-        gy, gdy = (np.concatenate([fgy * c1 + fgdy * c2, grad.T])
+        gy, gdy = (np.concatenate([fgy * c1 + fgdy * c2, grad])
                    for c1, c2, grad in (pullback(*w, _EACH) for w in unit_weights(xs.shape[0])))
     if not (np.isfinite(y).all() and np.isfinite(dy).all()
             and np.isfinite(gy).all() and np.isfinite(gdy).all()):

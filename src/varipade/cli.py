@@ -51,8 +51,6 @@ def _fmt(value):
 
 def _problem_from_config(problem_cfg):
     """Returns (problem, j_exact or None, echo dict)."""
-    if not isinstance(problem_cfg, dict):
-        raise CliError("problem must be an object")
     has_builtin = "builtin" in problem_cfg
     has_custom = "integrand" in problem_cfg
     if has_builtin == has_custom:
@@ -70,6 +68,10 @@ def _problem_from_config(problem_cfg):
         keys = {k: float(problem_cfg[k]) for k in ("x_a", "x_b", "y_a", "y_b")}
     except KeyError as exc:
         raise CliError(f"custom problem missing field {exc.args[0]!r}")
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"custom problem bounds must be numbers: {exc}")
+    if not isinstance(problem_cfg["integrand"], str):
+        raise CliError(f"integrand must be a string, got {problem_cfg['integrand']!r}")
     try:
         integrand = parse_integrand(problem_cfg["integrand"])
         bc = BoundaryCondition(keys["x_a"], keys["x_b"], keys["y_a"], keys["y_b"])
@@ -90,6 +92,10 @@ def _train_config_from_dict(d):
         raise CliError(f"bad train config: {exc}")
 
 
+_CONFIG_TYPES = (("problem", dict, "an object"), ("structure", str, "a string"),
+                 ("output_dir", str, "a string"), ("train", dict, "an object"))
+
+
 def _load_run_config(args):
     if args.config:
         try:
@@ -97,9 +103,14 @@ def _load_run_config(args):
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(cfg, dict):
+            raise CliError(f"config {args.config} must be a JSON object")
         for key in ("problem", "structure", "output_dir"):
             if key not in cfg:
                 raise CliError(f"config missing field {key!r}")
+        for key, kind, name in _CONFIG_TYPES:
+            if key in cfg and not isinstance(cfg[key], kind):
+                raise CliError(f"config field {key!r} must be {name}, got {cfg[key]!r}")
         return cfg
     if args.problem is None and args.integrand is None:
         raise CliError("give --config, --problem, or --integrand")

@@ -2,11 +2,13 @@
 
 A "jet" at x bundles the model value y, its x-derivative dy/dx, and the
 exact partial derivatives of both with respect to every trainable
-parameter. Training needs only the pullback of those partials, the
-gradient of sum(c1 * y + c2 * dy/dx) for given weights c1, c2, which each
-family computes in closed form without forming the dense jet. Every
-formula here is hand-derived and checked against finite differences in
-the test suite.
+parameter. Each family writes those derivatives once, in closed form, as
+its pullback: the gradient of sum(c1 * y + c2 * dy/dx) for weights c1, c2.
+Training takes the sum; the jet is its per-point terms at weights (1, 0)
+and (0, 1). Pade, Leg and Poly are polynomials in t = x / `table_scale` of
+the `BoundaryCondition`, which lies in [-1, 1] on the interval and is x
+itself on intervals inside [-1, 1]. Every formula here is hand-derived and
+checked against finite differences in the test suite.
 
 Parameter layouts (flat vector, in order):
 
@@ -308,21 +310,26 @@ def _mlp(spec, theta, xs):
 _FAMILIES = {"Pade": _pade, "Leg": _basis, "Poly": _basis, "RBF": _rbf, "MLP": _mlp}
 
 
-def family_tables(spec, xs):
+def family_tables(spec, xs, scale=1.0):
     """What a family reads from the grid alone, computed once per grid.
 
     `xs` is one grid (N,) or a block of grids (K, N); every table then has
     the leading row axis, and `table_row(tables, k)` is grid k's share.
+    Pade, Leg and Poly tabulate their bases at t = x / scale, and their
+    slope tables hold d/dx = (d/dt) / scale; `BoundaryCondition.table_scale`
+    keeps |t| <= 1 on the interval.
     """
     # an overflowed power reaches the finiteness checks of the values
     with np.errstate(all="ignore"):
         if spec.kind == "Leg":
-            p, dp = legendre_table(spec.degree, xs)
-            return p[..., 1:, :], dp[..., 1:, :]
+            p, dp = legendre_table(spec.degree, xs / scale)
+            return p[..., 1:, :], dp[..., 1:, :] / scale
         if spec.kind == "Poly":
-            return _powers(xs, spec.degree)
+            p, dp = _powers(xs / scale, spec.degree)
+            return p, dp / scale
         if spec.kind == "Pade":
-            return xs, _powers(xs, max(spec.pade_m, spec.pade_n))
+            p, dp = _powers(xs / scale, max(spec.pade_m, spec.pade_n))
+            return xs, (p, dp / scale)
     if spec.kind in _FAMILIES:
         return xs
     raise InvalidStructureError(f"unknown family kind {spec.kind!r}")
@@ -355,8 +362,8 @@ def family_forward(spec, params, tables):
     return _FAMILIES[spec.kind](spec, theta[:pf], tables)
 
 
-def family_jet_many(spec, params, xs):
-    """Vectorized jet over an array of x values.
+def family_jet_many(spec, params, xs, scale=1.0):
+    """Vectorized jet over an array of x values, on family_tables(spec, xs, scale).
 
     Returns (y, dy_dx, grad_y, grad_dy_dx) with shapes (N,), (N,),
     (P, N), (P, N), where P = param_count(spec); only the first P
@@ -364,7 +371,7 @@ def family_jet_many(spec, params, xs):
     of the training pullback at weights (1, 0) and (0, 1).
     """
     xs = np.asarray(xs, dtype=float)
-    tables = family_tables(spec, xs)
+    tables = family_tables(spec, xs, scale)
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
         y, dy, pullback = family_forward(spec, params, tables)
         gy, gdy = (pullback(*w, _EACH).T for w in unit_weights(xs.shape[0]))

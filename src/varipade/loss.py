@@ -17,9 +17,10 @@ blocks of consecutive steps, at most 8192 points to a block (about 1-2 MB
 of tables for the paper's structures), and step s still draws its grid
 from default_rng(seed * 1_000_003 + s).
 
-`compose_final_many` is the forward jet, with dense (P, N) gradient rows;
-it is kept for evaluating a trained model, for the step preconditioner and
-as the reference the tests check the gradient against.
+`compose_final_many` is the jet, with dense (P, N) gradient rows, the
+per-point terms of the pullbacks that training contracts; it is kept for
+evaluating a trained model, for the step preconditioner and as the
+reference the tests check the gradient against.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class Plan:
         self.spec = spec
         self.weight = grid.weight
         boundary = BoundaryTables(problem.bc, block)
-        family = family_tables(spec, block)
+        family = family_tables(spec, block, problem.bc.table_scale)
         integrand = problem.integrand.bind_rows(block)
         self.rows = tuple(
             _Row(block[k], boundary.row(k), table_row(family, k), integrand[k])

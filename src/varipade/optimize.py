@@ -47,8 +47,7 @@ class TrainConfig:
     record_every: int = 50
     train_exponents: bool = True
     # diagonal preconditioning: shrink the step (and initial weight) of any
-    # coordinate whose output sensitivity at initialization exceeds 1; rescues
-    # high-order polynomial bases on intervals wider than [-1, 1]
+    # coordinate whose output sensitivity at initialization exceeds 1
     precondition: bool = False
 
     def __post_init__(self):
@@ -227,7 +226,10 @@ def _sensitivity_scale(problem, spec, theta, grid):
     _, _, gy, gdy = compose_final_many(
         spec, theta[:pf], theta[pf], theta[pf + 1], problem.bc, grid.points
     )
-    rms = np.sqrt(np.mean(gy * gy + gdy * gdy, axis=1))
+    with np.errstate(all="ignore"):  # an overflowed square is reported below
+        rms = np.sqrt(np.mean(gy * gy + gdy * gdy, axis=1))
+    if not np.isfinite(rms).all():
+        raise EvaluationOverflowError(f"non-finite output sensitivity at step 0 for {spec}")
     scale = 1.0 / np.maximum(rms, 1.0)
     scale[pf:] = 1.0
     return scale

@@ -142,18 +142,25 @@ class TestComposition:
             assert abs(y[0] - bc.y_a) <= 1e-9
             assert abs(y[1] - bc.y_b) <= 1e-9
 
+    # on (-0.5, 2.0) Pade, Leg and Poly read x / 2, and their slopes carry the factor 1/2
+    @pytest.mark.parametrize("bc", [BoundaryCondition(0.0, 1.0, 0.0, 2.0),
+                                    BoundaryCondition(-0.5, 2.0, 0.0, 2.0)], ids=["unit", "scale-2"])
     @pytest.mark.parametrize("structure", ["Pade-[2/2]"] + ALL_FAMILIES)
-    def test_full_gradient_matches_finite_differences(self, structure, rng):
+    def test_full_gradient_matches_finite_differences(self, structure, bc, rng):
         spec = parse_structure(structure)
-        bc = BoundaryCondition(0.0, 1.0, 0.0, 2.0)
         pf = param_count(spec)
         h = 1e-6
         for _ in range(50):
             theta = np.concatenate(
                 [init_params(spec, int(rng.integers(1 << 30))), rng.uniform(-0.3, 0.8, 2)]
             )
-            xs = np.array([float(rng.uniform(0.05, 0.95))])
-            _, _, gy, gdy = compose_final_many(spec, theta[:pf], theta[pf], theta[pf + 1], bc, xs)
+            length = bc.x_b - bc.x_a
+            xs = np.array([float(rng.uniform(bc.x_a + 0.05 * length, bc.x_b - 0.05 * length))])
+            _, dy, gy, gdy = compose_final_many(spec, theta[:pf], theta[pf], theta[pf + 1], bc, xs)
+            # dy/dx too: a parameter difference cannot see a slope table of the wrong scale
+            y_right = compose_final_many(spec, theta[:pf], theta[pf], theta[pf + 1], bc, xs + h)[0]
+            y_left = compose_final_many(spec, theta[:pf], theta[pf], theta[pf + 1], bc, xs - h)[0]
+            assert dy[0] == pytest.approx((y_right[0] - y_left[0]) / (2 * h), rel=1e-5, abs=1e-6)
             for k in range(pf + 2):
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h

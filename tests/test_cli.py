@@ -134,6 +134,30 @@ class TestRun:
         assert "unknown train config fields" in err and name in err
         assert not (tmp_path / "x").exists()
 
+    # a field of the wrong JSON type is a configuration error, not a traceback
+    @pytest.mark.parametrize("config, message", [
+        ({"train": 5}, "config field 'train' must be an object"),
+        ({"structure": 5}, "config field 'structure' must be a string"),
+        ({"output_dir": 5}, "config field 'output_dir' must be a string"),
+        ({"problem": 5}, "config field 'problem' must be an object"),
+        ({"problem": {"integrand": 5, "x_a": 0, "x_b": 1, "y_a": 0, "y_b": 1}}, "integrand must be a string"),
+        ({"problem": {"integrand": "dy^2", "x_a": [0], "x_b": 1, "y_a": 0, "y_b": 1}},
+         "custom problem bounds must be numbers"),
+        ("not an object", "must be a JSON object"),
+        ([1, 2], "must be a JSON object"),
+    ])
+    def test_config_field_of_the_wrong_type(self, tmp_path, capsys, config, message):
+        if isinstance(config, dict):
+            config = {"problem": {"builtin": "parabolic"}, "structure": "Poly-3",
+                      "train": {"steps": 10}, "output_dir": str(tmp_path / "x"), **config}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "x").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["typed.json"]
+
     def test_retry_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--problem", "parabolic", "--structure", "Poly-3",

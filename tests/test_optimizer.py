@@ -7,10 +7,15 @@ import pytest
 from varipade import (
     AdamState,
     BoundaryCondition,
+    EvaluationOverflowError,
     Problem,
     TrainConfig,
     adam_step,
     builtin_cases,
+    case_by_name,
+    compose_final_many,
+    family_jet_many,
+    functional_value,
     parse_integrand,
     parse_structure,
     sgd_step,
@@ -174,20 +179,20 @@ class TestTrain:
         assert "divisor" in report.failure_reason
 
     def test_overflow_in_the_preconditioner_is_reported_not_raised(self):
-        # x^15 overflows on this interval while the initial step scale is computed
-        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e30, 0.0, 1.0))
+        # the boundary factor overflows on this interval while the initial step scale is computed
+        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e200, 0.0, 1.0))
         with np.errstate(all="ignore"):
             report = train(problem, parse_structure("Poly-15"), _tiny_config(precondition=True))
         assert report.status == "failed"
         assert "non-finite" in report.failure_reason
 
     @pytest.mark.parametrize("precondition,reason", [
-        (True, "non-finite value while evaluating Poly-15"),
+        (True, "non-finite value in composed model for Poly-15"),
         (False, "non-finite value in composed model for Poly-15"),
     ])
     def test_overflowing_basis_fails_without_a_numpy_warning(self, precondition, reason):
-        # x^15 overflows on this interval in the power table and in the basis values
-        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e30, 0.0, 1.0))
+        # the basis reads x / x_b, so only the boundary factor can overflow on this interval
+        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e200, 0.0, 1.0))
         config = TrainConfig(steps=5, precondition=precondition)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -196,15 +201,35 @@ class TestTrain:
         assert report.failure_reason == reason
         assert report.steps_done == 0 and report.failure_step == 0
 
+    def test_overflowing_power_table_fails_without_a_numpy_warning(self):
+        # x^15 overflows in the power table of a raw x
+        spec = parse_structure("Poly-15")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EvaluationOverflowError, match="non-finite value while evaluating Poly-15"):
+                family_jet_many(spec, np.full(16, 0.1), np.array([1e30]))
+
     def test_overflowing_adam_moment_fails_without_a_numpy_warning(self):
         # the first gradient exceeds 1e154 on this interval, so Adam's grad * grad overflows
-        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e30, 0.0, 1.0))
+        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e60, 0.0, 1.0))
+        config = TrainConfig(steps=20, precondition=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = train(problem, parse_structure("Poly-15"), config)
+        assert report.status == "failed"
+        assert report.failure_reason == "non-finite Adam second moment at step 0 for Poly-15"
+        assert report.steps_done == 0 and report.failure_step == 0
+
+    @pytest.mark.parametrize("structure", ["RBF-[4]", "MLP-[[4,tanh]]"])
+    def test_overflowing_sensitivity_fails_without_a_numpy_warning(self, structure):
+        # the model's gradient rows are finite on this interval but their squares overflow
+        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e100, 0.0, 1.0))
         config = TrainConfig(steps=20, precondition=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = train(problem, parse_structure("Pade-[3/3]"), config)
+            report = train(problem, parse_structure(structure), config)
         assert report.status == "failed"
-        assert report.failure_reason == "non-finite Adam second moment at step 0 for Pade-[3/3]"
+        assert report.failure_reason == f"non-finite output sensitivity at step 0 for {structure}"
         assert report.steps_done == 0 and report.failure_step == 0
 
     def test_steps_done(self):
@@ -292,3 +317,29 @@ def test_a_failing_grid_fails_at_its_own_step():
         -0.023639863833392772, -0.12266646650950656, -0.07050304015297484,
         -0.22370004874831056, 0.11821368257029864, -0.08109316625924996,
     ]
+
+
+def _refined_error(case, spec, report):
+    """Relative error of J for the trained model, re-integrated on 2N+1 midpoints."""
+    theta = report.final_params
+    pf = theta.shape[0] - 2
+
+    def model(xs):
+        return compose_final_many(spec, theta[:pf], theta[pf], theta[pf + 1], case.problem.bc, xs)[:2]
+
+    j = functional_value(case.problem, model, 2 * 1000 + 1)
+    return abs(j - case.j_exact_analytic) / abs(case.j_exact_analytic)
+
+
+@pytest.mark.parametrize("structure,seed,precondition", [
+    ("Pade-[4/5]", 26, True),  # diverged when its powers read the raw x
+    ("Leg-15", 0, False),  # needed the preconditioner when its polynomials read the raw x
+])
+def test_bases_read_the_reference_interval_on_cosine_source(structure, seed, precondition):
+    # cosine-source lives on (-pi/2, pi/2); Pade, Leg and Poly tabulate x / (pi/2)
+    case = case_by_name("cosine-source")
+    spec = parse_structure(structure)
+    config = TrainConfig(steps=350, grid_n=1000, seed=seed, precondition=precondition, record_every=10)
+    report = train(case.problem, spec, config)
+    assert report.status == "max_steps"
+    assert _refined_error(case, spec, report) < 1e-2
