@@ -27,8 +27,8 @@ for step, loss in report.loss_history:
 
 rel = relative_error(case.j_exact_analytic, report.j_final)
 print(f"final J = {report.j_final:.10f}  relative error {rel:.2e}")
-print(f"boundary exponents m_a = {report.exponents.m_a:.4f}, "
-      f"m_b = {report.exponents.m_b:.4f}")
+m_a, m_b = report.exponents
+print(f"boundary exponents m_a = {m_a:.4f}, m_b = {m_b:.4f}")
 
 # compare the trained curve to the exact line on a few points
 from varipade import compose_final_many

@@ -5,7 +5,6 @@ from types import ModuleType as _ModuleType
 
 from .boundary import (
     BoundaryCondition,
-    BoundaryExponents,
     boundary_factor_many,
     compose_final_many,
     linear_interpolant,

@@ -47,20 +47,6 @@ class BoundaryCondition:
         return max(1.0, abs(self.x_a), abs(self.x_b))
 
 
-@dataclass(frozen=True)
-class BoundaryExponents:
-    rho_a: float = 0.0
-    rho_b: float = 0.0
-
-    @property
-    def m_a(self):
-        return float(np.exp(self.rho_a))
-
-    @property
-    def m_b(self):
-        return float(np.exp(self.rho_b))
-
-
 def _check_inside(bc, xs):
     outside = (xs <= bc.x_a) | (xs >= bc.x_b)
     if np.any(outside):

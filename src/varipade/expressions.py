@@ -253,6 +253,8 @@ class _Parser:
 
 def parse_integrand(text):
     """Parse integrand source into an immutable IntegrandExpr."""
+    if not isinstance(text, str):
+        raise ExpressionSyntaxError(f"integrand must be a string, got {type(text).__name__}", 0)
     parser = _Parser(text)
     root, _ = parser.expr()
     kind, val, off = parser.peek()

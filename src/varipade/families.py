@@ -68,6 +68,8 @@ _MLP_LAYER_RE = re.compile(r"\[(\d+),([A-Za-z]+)\]\Z")
 
 def parse_structure(text):
     """Parse a structure string such as Pade-[5/5] or MLP-[[8,sigmoid]]."""
+    if not isinstance(text, str):
+        raise StructureSyntaxError(f"structure must be a string, got {type(text).__name__}")
     text = text.strip()
     m = _PADE_RE.match(text)
     if m:
@@ -134,6 +136,12 @@ def init_params(spec, seed, domain=(-1.0, 1.0)):
         b = rng.normal(0.0, 0.1, 1)
         return np.concatenate([w, centers, rho, b])
     return rng.normal(0.0, 0.1, param_count(spec))
+
+
+def init_kept(spec):
+    """Indices of initial weights a step preconditioner must not shrink: Pade's
+    denominator constant b2 = 1 keeps the denominator off zero at step 0."""
+    return [param_count(spec) - 1] if spec.kind == "Pade" else []
 
 
 # ---------------------------------------------------------------------------

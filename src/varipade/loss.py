@@ -8,14 +8,15 @@ directly. Endpoints are never sampled: the composed model lives on the
 open interval and some benchmark solutions have singular derivatives at
 an endpoint.
 
-Training computes the gradient in reverse mode on a `Plan`, grids bound to
-one problem and structure that hold everything computed from the grid
-alone. A plan binds a block of grids, one per row, in one vectorized pass,
-and row k gives the same bits as a plan of grid k alone. `train` binds a
-fixed grid once; a grid resampled at every step is drawn and bound in
-blocks of consecutive steps, at most 8192 points to a block (about 1-2 MB
-of tables for the paper's structures), and step s still draws its grid
-from default_rng(seed * 1_000_003 + s).
+`loss_and_grad(plan, theta, row)` takes the reverse-mode gradient over the
+flat theta = (family params, rho_a, rho_b) on a `Plan`: grids bound to one
+problem and structure, holding all that is computed from the grid alone. A
+plan binds a block of grids, one per row, in one vectorized pass, and row k
+gives the same bits as a plan of grid k alone. `train` binds a fixed grid
+once; a grid resampled at every step is drawn and bound in blocks of
+consecutive steps, at most 8192 points to a block (about 1-2 MB of tables
+for the paper's structures), and step s still draws its grid from
+default_rng(seed * 1_000_003 + s).
 
 `compose_final_many` is the jet, with dense (P, N) gradient rows, the
 per-point terms of the pullbacks that training contracts; it is kept for
@@ -34,7 +35,7 @@ import numpy as np
 from .boundary import BoundaryCondition, BoundaryTables, compose_final_many  # noqa: F401
 from .errors import EvaluationOverflowError
 from .expressions import IntegrandExpr, eval_integrand_many
-from .families import family_forward, family_tables, table_row
+from .families import family_forward, family_tables, param_count, table_row
 
 
 @dataclass(frozen=True)
@@ -111,27 +112,28 @@ class Plan:
         )
 
 
-def loss_and_grad(problem, spec, params, exps, grid, row=0):
-    """Midpoint-rule loss and its exact gradient over (family params, rho_a, rho_b).
+def loss_and_grad(plan, theta, row=0):
+    """Midpoint-rule loss on grid `row` of `plan` and its exact gradient over theta.
 
-    `exps` is a BoundaryExponents; `grid` is a SampleGrid or a Plan for this
-    problem and spec, of which grid `row` is read. The gradient is computed
-    in reverse mode: the loss's weights w * dF/dy and w * dF/ddy are pulled
-    back through the composition and the family, and no (P, N) Jacobian is
-    formed.
+    `theta` is the flat vector (family params, rho_a, rho_b). The gradient is
+    computed in reverse mode: the loss's weights w * dF/dy and w * dF/ddy are
+    pulled back through the composition and the family, and no (P, N)
+    Jacobian is formed.
     """
-    plan = grid if isinstance(grid, Plan) else Plan(problem, spec, grid)
-    if plan.problem is not problem or (plan.spec is not spec and plan.spec != spec):
-        raise ValueError("the plan was built for another problem or structure")
+    spec = plan.spec
+    pf = param_count(spec)
+    if np.shape(theta) != (pf + 2,):
+        raise ValueError(f"theta of shape {np.shape(theta)} for {spec}, "
+                         f"which needs {pf + 2} entries")
     points, boundary, family, integrand = plan.rows[row]
     weight = plan.weight
     # an overflow or a NaN is reported by the finiteness checks
     with np.errstate(all="ignore"):
-        fy, fdy, family_pullback = family_forward(spec, params, family)
-        y, dy, boundary_pullback = boundary.compose(fy, fdy, exps.rho_a, exps.rho_b)
+        fy, fdy, family_pullback = family_forward(spec, theta, family)
+        y, dy, boundary_pullback = boundary.compose(fy, fdy, theta[pf], theta[pf + 1])
         if not (np.isfinite(y).all() and np.isfinite(dy).all()):
             raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
-        f, f_y, f_dy = eval_integrand_many(problem.integrand, points, y, dy, bound=integrand)
+        f, f_y, f_dy = eval_integrand_many(plan.problem.integrand, points, y, dy, bound=integrand)
         loss = weight * float(f.sum())
         c1, c2, grad_rho = boundary_pullback(weight * f_y, weight * f_dy)
         grad = np.concatenate([family_pullback(c1, c2), grad_rho])

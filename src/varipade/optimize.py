@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import BoundaryExponents, compose_final_many
+from .boundary import compose_final_many
 from .errors import EvaluationOverflowError, VaripadeError
-from .families import init_params, param_count
+from .families import init_kept, init_params, param_count
 from .loss import Plan, loss_and_grad, sample_grid
 
 # points bound at once when resampled grids are bound in blocks of steps: the
@@ -91,7 +91,8 @@ class TrainReport:
 
     @property
     def exponents(self):
-        return BoundaryExponents(float(self.final_params[-2]), float(self.final_params[-1]))
+        """The boundary exponents (m_a, m_b) = (exp(rho_a), exp(rho_b))."""
+        return float(np.exp(self.final_params[-2])), float(np.exp(self.final_params[-1]))
 
     @property
     def family_params(self):
@@ -140,14 +141,15 @@ def train(problem, spec, config=TrainConfig()):
     status = "max_steps"
     reason = None
     loss = float("nan")
-    exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
     steps_done = 0
     try:
         midpoint = sample_grid(bc, config.grid_n, "midpoint")
         fixed = Plan(problem, spec, midpoint) if config.grid_mode == "midpoint" else None
         if config.precondition:
             step_scale = _sensitivity_scale(problem, spec, theta, midpoint)
-            theta = theta * step_scale
+            init_scale = step_scale.copy()
+            init_scale[init_kept(spec)] = 1.0
+            theta = theta * init_scale
         # (plan, row) of every step: a fixed grid is one row that every step reuses
         grids = itertools.repeat((fixed, 0)) if fixed else _resampled_grids(problem, spec, config)
         # a finite gradient beyond ~1e154 overflows Adam's grad * grad; the
@@ -155,7 +157,7 @@ def train(problem, spec, config=TrainConfig()):
         with np.errstate(over="ignore"):
             for step in range(config.steps):
                 plan, row = next(grids)
-                loss, grad = loss_and_grad(problem, spec, theta[:pf], exps, plan, row)
+                loss, grad = loss_and_grad(plan, theta, row)
                 if step % record_every == 0:
                     history.append((step, loss))
                 if not config.train_exponents:
@@ -169,9 +171,8 @@ def train(problem, spec, config=TrainConfig()):
                     new_theta = sgd_step(theta, grad, config.learning_rate)
                 theta = theta + step_scale * (new_theta - theta)
                 theta[pf:] = np.clip(theta[pf:], log_lo, log_hi)
-                exps = BoundaryExponents(float(theta[-2]), float(theta[-1]))
                 steps_done = step + 1
-        loss, _ = loss_and_grad(problem, spec, theta[:pf], exps, fixed or midpoint)
+        loss, _ = loss_and_grad(fixed or Plan(problem, spec, midpoint), theta)
         history.append((steps_done, loss))
     except VaripadeError as exc:
         status = "failed"
@@ -219,8 +220,8 @@ def _sensitivity_scale(problem, spec, theta, grid):
 
     Sensitivity is the RMS over the grid of the model's value and slope
     gradients at initialization; only coordinates steeper than O(1) are
-    slowed (and their initial random weights shrunk to match), which tames
-    ill-conditioned bases without touching well-scaled parameters.
+    slowed (and, but for `init_kept`, their initial weights shrunk to match),
+    which tames ill-conditioned bases without touching well-scaled parameters.
     """
     pf = param_count(spec)
     _, _, gy, gdy = compose_final_many(

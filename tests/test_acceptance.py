@@ -16,7 +16,7 @@ import pytest
 
 from varipade import (
     BoundaryCondition,
-    BoundaryExponents,
+    Plan,
     TrainConfig,
     builtin_cases,
     compose_final_many,
@@ -55,21 +55,18 @@ def test_criterion_1_analytic_gradients_match_finite_differences():
         for draw in range(50):
             case = cases[draw % len(cases)]
             bc = case.problem.bc
-            grid = sample_grid(bc, 16)
+            plan = Plan(case.problem, spec, sample_grid(bc, 16))
             theta = np.concatenate([
                 init_params(spec, int(rng.integers(1 << 30)), domain=(bc.x_a, bc.x_b)),
                 rng.uniform(-0.2, 0.5, 2),
             ])
-            _, grad = loss_and_grad(case.problem, spec, theta[:pf],
-                                    BoundaryExponents(theta[pf], theta[pf + 1]), grid)
+            _, grad = loss_and_grad(plan, theta)
             for k in range(pf + 2):
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h
                 tm[k] -= h
-                lp, _ = loss_and_grad(case.problem, spec, tp[:pf],
-                                      BoundaryExponents(tp[pf], tp[pf + 1]), grid)
-                lm, _ = loss_and_grad(case.problem, spec, tm[:pf],
-                                      BoundaryExponents(tm[pf], tm[pf + 1]), grid)
+                lp, _ = loss_and_grad(plan, tp)
+                lm, _ = loss_and_grad(plan, tm)
                 fd = (lp - lm) / (2 * h)
                 assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7), (
                     f"{structure} on {case.name}, coordinate {k}")

@@ -3,7 +3,6 @@ import pytest
 
 from varipade import (
     BoundaryCondition,
-    BoundaryExponents,
     DomainError,
     boundary_factor_many,
     compose_final_many,
@@ -31,12 +30,6 @@ class TestBoundaryCondition:
     def test_rejects_non_finite_values(self, values):
         with pytest.raises(ValueError):
             BoundaryCondition(*values)
-
-    def test_exponent_reparameterization(self):
-        assert BoundaryExponents(0.0, 0.0).m_a == 1.0
-        exps = BoundaryExponents(np.log(2.0), np.log(0.75))
-        assert exps.m_a == pytest.approx(2.0, rel=1e-15)
-        assert exps.m_b == pytest.approx(0.75, rel=1e-15)
 
 
 class TestBoundaryFactor:

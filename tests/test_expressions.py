@@ -58,11 +58,15 @@ class TestParsing:
             parse_integrand("x + zz")
         assert exc.value.offset == 4
 
-    @pytest.mark.parametrize("text", ["sqrt(", "x +", "1 ** 2", ")", "sin 3", ""])
+    @pytest.mark.parametrize("text", ["sqrt(", "x +", "1 ** 2", ")", "sin 3", "", 5, None])
     def test_syntax_errors_carry_offset(self, text):
         with pytest.raises(ExpressionSyntaxError) as exc:
             parse_integrand(text)
-        assert 0 <= exc.value.offset <= len(text)
+        if isinstance(text, str):
+            assert 0 <= exc.value.offset <= len(text)
+        else:  # a non-string is named by its type
+            assert exc.value.offset == 0
+            assert f"got {type(text).__name__}" in str(exc.value)
 
     def test_pi_is_a_constant(self):
         expr = parse_integrand("pi")

@@ -35,10 +35,13 @@ class TestParseStructure:
         with pytest.raises(InvalidStructureError):
             parse_structure("MLP-[[8,relu]]")
 
-    @pytest.mark.parametrize("text", ["Pade-[5]", "MLP-[]", "Frob-3", "Leg-"])
+    @pytest.mark.parametrize("text", ["Pade-[5]", "MLP-[]", "Frob-3", "Leg-", 5, b"Leg-3"])
     def test_garbage_rejected(self, text):
-        with pytest.raises((StructureSyntaxError, InvalidStructureError)):
+        with pytest.raises((StructureSyntaxError, InvalidStructureError)) as exc:
             parse_structure(text)
+        if not isinstance(text, str):  # a non-string is named by its type
+            assert exc.type is StructureSyntaxError
+            assert f"got {type(text).__name__}" in str(exc.value)
 
 
 # the nine structure strings from the published result tables

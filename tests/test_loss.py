@@ -5,7 +5,6 @@ import pytest
 
 from varipade import (
     BoundaryCondition,
-    BoundaryExponents,
     DomainError,
     Plan,
     Problem,
@@ -118,19 +117,19 @@ class TestLossAndGrad:
         problem = Problem(parse_integrand("3 + 0 * y"), BoundaryCondition(0.0, 2.0, 0.0, 0.0))
         spec = parse_structure("Poly-1")
         grid = sample_grid(problem.bc, 64)
-        loss, grad = loss_and_grad(problem, spec, np.zeros(2), BoundaryExponents(), grid)
+        loss, grad = loss_and_grad(Plan(problem, spec, grid), np.zeros(4))
         assert loss == pytest.approx(6.0, rel=1e-14)
         assert np.allclose(grad, 0.0, atol=1e-14)
 
     def test_point_order_irrelevant(self, rng):
         case = builtin_cases()[4]
         spec = parse_structure("Pade-[3/2]")
-        theta = init_params(spec, 11)
+        theta = np.concatenate([init_params(spec, 11), [0.0, 0.0]])
         grid = sample_grid(case.problem.bc, 200)
         perm = rng.permutation(200)
         shuffled = SampleGrid(grid.points[perm], grid.weight)
-        l1, g1 = loss_and_grad(case.problem, spec, theta, BoundaryExponents(), grid)
-        l2, g2 = loss_and_grad(case.problem, spec, theta, BoundaryExponents(), shuffled)
+        l1, g1 = loss_and_grad(Plan(case.problem, spec, grid), theta)
+        l2, g2 = loss_and_grad(Plan(case.problem, spec, shuffled), theta)
         assert l1 == pytest.approx(l2, rel=1e-12)
         assert np.allclose(g1, g2, rtol=1e-11, atol=1e-14)
 
@@ -145,7 +144,7 @@ class TestLossAndGrad:
         case = builtin_cases()[case_index]
         spec = parse_structure(structure)
         pf = param_count(spec)
-        grid = sample_grid(case.problem.bc, 32)
+        plan = Plan(case.problem, spec, sample_grid(case.problem.bc, 32))
         h = 1e-6
         for _ in range(20):
             theta = np.concatenate([
@@ -153,16 +152,13 @@ class TestLossAndGrad:
                             domain=(case.problem.bc.x_a, case.problem.bc.x_b)),
                 rng.uniform(-0.2, 0.5, 2),
             ])
-            _, grad = loss_and_grad(case.problem, spec, theta[:pf],
-                                    BoundaryExponents(theta[pf], theta[pf + 1]), grid)
+            _, grad = loss_and_grad(plan, theta)
             for k in range(pf + 2):
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h
                 tm[k] -= h
-                lp, _ = loss_and_grad(case.problem, spec, tp[:pf],
-                                      BoundaryExponents(tp[pf], tp[pf + 1]), grid)
-                lm, _ = loss_and_grad(case.problem, spec, tm[:pf],
-                                      BoundaryExponents(tm[pf], tm[pf + 1]), grid)
+                lp, _ = loss_and_grad(plan, tp)
+                lm, _ = loss_and_grad(plan, tm)
                 fd = (lp - lm) / (2 * h)
                 assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
@@ -191,27 +187,28 @@ class TestReverseModeAgainstForwardJet:
             f, f_y, f_dy = eval_integrand_many(case.problem.integrand, grid.points, y, dy)
             expected_loss = grid.weight * float(np.sum(f))
             expected_grad = grid.weight * (gy @ f_y + gdy @ f_dy)
-            loss, grad = loss_and_grad(case.problem, spec, theta, BoundaryExponents(rho_a, rho_b), grid)
+            plan = Plan(case.problem, spec, grid)
+            loss, grad = loss_and_grad(plan, np.concatenate([theta, [rho_a, rho_b]]))
             assert loss == expected_loss
             assert np.max(np.abs(grad - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))
 
-    def test_plan_gives_the_same_bits_as_a_grid(self):
+    def test_a_reused_plan_gives_the_same_bits(self):
         case = builtin_cases()[3]
         spec = parse_structure("Leg-15")
-        grid = sample_grid(case.problem.bc, 200)
-        theta = init_params(spec, 3)
-        exps = BoundaryExponents(0.1, -0.2)
-        plan = Plan(case.problem, spec, grid)
-        for _ in range(2):  # a plan is reused across steps
-            l1, g1 = loss_and_grad(case.problem, spec, theta, exps, plan)
-            l2, g2 = loss_and_grad(case.problem, spec, theta, exps, grid)
-            assert l1 == l2 and np.array_equal(g1, g2)
+        theta = np.concatenate([init_params(spec, 3), [0.1, -0.2]])
+        plan = Plan(case.problem, spec, sample_grid(case.problem.bc, 200))
+        l1, g1 = loss_and_grad(plan, theta)
+        l2, g2 = loss_and_grad(plan, theta)  # a plan is reused across steps
+        assert l1 == l2 and np.array_equal(g1, g2)
 
-    def test_plan_of_another_structure_is_rejected(self):
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_theta_of_another_length_is_rejected(self, extra):
+        # theta is the family's P parameters, then rho_a and rho_b: P + 2 entries
         case = builtin_cases()[3]
-        plan = Plan(case.problem, parse_structure("Leg-15"), sample_grid(case.problem.bc, 50))
-        with pytest.raises(ValueError):
-            loss_and_grad(case.problem, parse_structure("Leg-4"), np.zeros(5), BoundaryExponents(), plan)
+        spec = parse_structure("Leg-15")
+        plan = Plan(case.problem, spec, sample_grid(case.problem.bc, 50))
+        with pytest.raises(ValueError, match="needs 18 entries"):
+            loss_and_grad(plan, np.zeros(param_count(spec) + extra))
 
 
 def _leaves(tables):
@@ -235,11 +232,11 @@ class TestPlanBlocks:
             plan = Plan(self.PROBLEM, spec, block)
             assert len(plan.rows) == 5
             theta = init_params(spec, int(rng.integers(1 << 30)), domain=(bc.x_a, bc.x_b))
-            exps = BoundaryExponents(*rng.uniform(-0.4, 0.8, 2))
+            theta = np.concatenate([theta, rng.uniform(-0.4, 0.8, 2)])
             for k in range(5):
                 single = Plan(self.PROBLEM, spec, SampleGrid(block.points[k], block.weight))
-                loss, grad = loss_and_grad(self.PROBLEM, spec, theta, exps, plan, k)
-                expected_loss, expected_grad = loss_and_grad(self.PROBLEM, spec, theta, exps, single)
+                loss, grad = loss_and_grad(plan, theta, k)
+                expected_loss, expected_grad = loss_and_grad(single, theta)
                 assert loss == expected_loss
                 assert np.array_equal(grad, expected_grad)
 

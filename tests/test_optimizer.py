@@ -10,6 +10,7 @@ from varipade import (
     EvaluationOverflowError,
     Problem,
     TrainConfig,
+    TrainReport,
     adam_step,
     builtin_cases,
     case_by_name,
@@ -152,15 +153,14 @@ class TestTrain:
         case = builtin_cases()[0]
         report = train(case.problem, parse_structure("Poly-4"),
                        _tiny_config(steps=400))
-        assert 0.5 - 1e-12 <= report.exponents.m_a <= 4.0 + 1e-12
-        assert 0.5 - 1e-12 <= report.exponents.m_b <= 4.0 + 1e-12
+        for m in report.exponents:
+            assert 0.5 - 1e-12 <= m <= 4.0 + 1e-12
 
     def test_frozen_exponents(self):
         case = builtin_cases()[4]
         report = train(case.problem, parse_structure("Poly-3"),
                        _tiny_config(train_exponents=False))
-        assert report.exponents.m_a == 1.0
-        assert report.exponents.m_b == 1.0
+        assert report.exponents == (1.0, 1.0)
 
     def test_failure_is_reported_not_raised(self):
         # integrand with a domain violation once y wanders negative
@@ -232,6 +232,25 @@ class TestTrain:
         assert report.failure_reason == f"non-finite output sensitivity at step 0 for {structure}"
         assert report.steps_done == 0 and report.failure_step == 0
 
+    def test_exponents_are_exp_of_rho(self):
+        report = TrainReport([], np.array([0.3, np.log(2.0), np.log(0.75)]))
+        m_a, m_b = report.exponents
+        assert m_a == pytest.approx(2.0, rel=1e-15)
+        assert m_b == pytest.approx(0.75, rel=1e-15)
+        assert TrainReport([], np.zeros(3)).exponents == (1.0, 1.0)
+
+    def test_preconditioner_keeps_the_pade_denominator_constant(self):
+        # the sensitivity of b2 is about 5e57 here; shrinking its initial 1 by
+        # that put a pole on the grid at step 0
+        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1e30, 0.0, 1.0))
+        config = TrainConfig(steps=50, grid_n=100, precondition=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = train(problem, parse_structure("Pade-[3/3]"), config)
+        assert report.status == "max_steps" and report.steps_done == 50
+        assert report.final_params[7] == 1.0  # b2 moved by less than an ulp
+        assert report.j_final == pytest.approx(1e-30, rel=1e-3)  # J = 1 / (x_b - x_a)
+
     def test_steps_done(self):
         case = builtin_cases()[4]
         report = train(case.problem, parse_structure("Poly-3"), _tiny_config(steps=30))
@@ -246,55 +265,92 @@ class TestTrain:
         assert np.isfinite(report.j_final)
 
 
-# Random-grid training of y(0) = 0, y(1) = 1 under F = dy^2 + x*y, written with
+# Training of y(0) = 0, y(1) = 1 under F = dy^2 + x*y, written with
 # an x-only factor (it is 1) that the bound integrand computes once per grid
 BLOCK_PROBLEM = Problem(parse_integrand("(cos(2 * x) + 2 * sin(x)^2) * dy^2 + x * y"),
                         BoundaryCondition(0.0, 1.0, 0.0, 1.0))
 
-# loss_history and final_params of each structure after 50 random-grid steps
-# (seed 5, grid_n 200, record_every 10), recorded when every step's grid was
-# drawn and bound on its own
-RANDOM_GRID_TRAINING = {
-    "Pade-[2/2]": (
+# loss_history and final_params of each structure after 50 steps (seed 5,
+# grid_n 200, record_every 10). The random-grid entries were recorded when
+# every step's grid was drawn and bound on its own, the midpoint entries (with
+# precondition=True) when loss_and_grad took the exponents apart from theta
+GRID_TRAINING = {
+    ("Pade-[2/2]", "random"): (
         [(0, 1.3485891280106277), (10, 1.2955999006622347), (20, 1.327595732476313),
          (30, 1.346931526095401), (40, 1.3847894469321107), (50, 1.3281142208938592)],
         [-0.041192146825018185, -0.09145897354887873, -0.05864352931390288, 0.0640730566606776,
          0.03313936207686403, 1.0569578094502305, -0.03753356099642458, 0.03754164891296269],
     ),
-    "RBF-[3]": (
+    ("RBF-[3]", "random"): (
         [(0, 1.3574032996196272), (10, 1.306312168886617), (20, 1.3370960043900193),
          (30, 1.3412926791228756), (40, 1.380347101908661), (50, 1.327940887062763)],
         [-0.015145136372418207, -0.10571172702471045, -0.05025838048577721, 0.13859437042485068,
          0.6719180528657448, 1.033068742378057, -0.9917703554046805, -0.9055701614263221,
          -1.2545631290828023, 0.03724293802724671, 0.08099408678998256, -0.09524522521707826],
     ),
-    "MLP-[[3,tanh]]": (
+    ("MLP-[[3,tanh]]", "random"): (
         [(0, 1.3474023357614044), (10, 1.2975939607704887), (20, 1.3311807191907437),
          (30, 1.3430544282809516), (40, 1.386654128699729), (50, 1.3277372266830987)],
         [-0.13508539612409762, -0.13066368386739882, 0.02196654029456317, 0.04706383607739699,
          0.11663144368820487, 0.042188335773560195, -0.11897879239086502, -0.09840718903062895,
          0.04902928102753711, -0.11435953331576311],
     ),
-    "Leg-4": (
+    ("Leg-4", "random"): (
         [(0, 1.3578913514798496), (10, 1.3031483754227697), (20, 1.3280081107818729),
          (30, 1.3477337590944671), (40, 1.3892687146762948), (50, 1.327885713345238)],
         [-0.16382361720144634, 0.024706128425596656, 0.03171057555032692, -0.06119589437883775,
          -0.05259073814383341, 0.10471580800489265, 0.03138151236306967],
     ),
-    "Poly-3": (
+    ("Poly-3", "random"): (
         [(0, 1.3480075032531553), (10, 1.2946969533593649), (20, 1.3252798261044252),
          (30, 1.3485473466583517), (40, 1.3858960622540661), (50, 1.3280697488515645)],
         [-0.046261812991606345, -0.07533214981968393, 0.00791230977797135, -0.060182307448442954,
          0.004345264726809394, 0.06601083874268346],
     ),
+    ("Pade-[2/2]", "midpoint"): (
+        [(0, 1.3288101047798235), (10, 1.3279435636166925), (20, 1.3278013807583762),
+         (30, 1.3277815504768204), (40, 1.3277509739453135), (50, 1.327714245687475)],
+        [-0.05555295505476348, -0.025551490615453528, -0.108432412577669, 0.10363603534151732,
+         0.12642325568266857, 1.0827755985990317, 0.06308068136694828, -0.07406694244777322],
+    ),
+    ("RBF-[3]", "midpoint"): (
+        [(0, 1.3294875749838229), (10, 1.3279364450637967), (20, 1.3278267272232858),
+         (30, 1.3276159834497763), (40, 1.3275056125273674), (50, 1.3273383227507367)],
+        [-0.036705879310665566, -0.08054784510150635, -0.014449328609027201, 0.15484235987512043,
+         0.5789931007055533, 0.9827102173795154, -0.9523046083981515, -0.7373241815575121,
+         -1.0765138075386746, 0.01422900627716314, 0.0351415754606111, -0.3514901924387339],
+    ),
+    ("MLP-[[3,tanh]]", "midpoint"): (
+        [(0, 1.3287205674565905), (10, 1.3277731872594731), (20, 1.3277094271506342),
+         (30, 1.3276736299564755), (40, 1.327647780606869), (50, 1.3276147721658944)],
+        [-0.10221319503476027, -0.11165731983073408, -0.044225549075161186, 0.03405493158093747,
+         0.05453761938416861, -0.007466524777131276, -0.12747790037519224, -0.11131455719323097,
+         0.09175374785910503, -0.20161575221024564],
+    ),
+    ("Leg-4", "midpoint"): (
+        [(0, 1.3449277534780484), (10, 1.329341950492734), (20, 1.3281347864128616),
+         (30, 1.3282891351888357), (40, 1.3279803222967874), (50, 1.3279754411286635)],
+        [-0.2187440712289171, 0.0001486901289499934, 0.07080899435838221, -0.07613476585671428,
+         -0.035894330121828584, 0.1900107383527512, 0.1192721324041743],
+    ),
+    ("Poly-3", "midpoint"): (
+        [(0, 1.3313255808827282), (10, 1.3279302543524518), (20, 1.3280757702943793),
+         (30, 1.3278344869028715), (40, 1.3277543094783297), (50, 1.3276779143056112)],
+        [-0.1169563399528767, 0.07166544400920202, 0.008280923052082107, -0.08080611649960617,
+         -0.004808763807124722, -0.13224345177187316],
+    ),
 }
 
 
-@pytest.mark.parametrize("structure", list(RANDOM_GRID_TRAINING))
-def test_random_grid_training_keeps_its_stream(structure):
-    config = TrainConfig(steps=50, grid_n=200, grid_mode="random", seed=5, record_every=10)
-    assert config.steps % (_BLOCK_POINTS // config.grid_n) != 0  # the last block is partial
-    history, params = RANDOM_GRID_TRAINING[structure]
+@pytest.mark.parametrize("structure,grid_mode", list(GRID_TRAINING),
+                         ids=[f"{s}-{m}" for s, m in GRID_TRAINING])
+def test_training_keeps_its_answers(structure, grid_mode):
+    random = grid_mode == "random"
+    config = TrainConfig(steps=50, grid_n=200, grid_mode=grid_mode, seed=5, record_every=10,
+                         precondition=not random)
+    if random:
+        assert config.steps % (_BLOCK_POINTS // config.grid_n) != 0  # the last block is partial
+    history, params = GRID_TRAINING[structure, grid_mode]
     report = train(BLOCK_PROBLEM, parse_structure(structure), config)
     assert report.status == "max_steps" and report.steps_done == 50
     assert report.loss_history == history

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the exported names: the single-point evaluators are not among them, since a
 # one-point array through the vectorized functions does their job
 PUBLIC = """
-    AdamState BenchmarkCase BoundaryCondition BoundaryExponents DegenerateReferenceError
+    AdamState BenchmarkCase BoundaryCondition DegenerateReferenceError
     DomainError EvaluationOverflowError ExpressionSyntaxError FamilySpec IntegrandExpr
     InvalidStructureError MatrixReport MatrixRow Plan PoleError Problem SampleGrid
     StructureSyntaxError TrainConfig TrainReport UnknownIdentifierError VaripadeError
