@@ -46,12 +46,17 @@ class BoundaryCondition:
         """Pade, Leg and Poly read x / table_scale, which lies in [-1, 1] on the interval."""
         return max(1.0, abs(self.x_a), abs(self.x_b))
 
+    @property
+    def table_centre(self):
+        """RBF reads x - table_centre, the interval's midpoint."""
+        return 0.5 * (self.x_a + self.x_b)
+
 
 def _check_inside(bc, xs):
     outside = (xs <= bc.x_a) | (xs >= bc.x_b)
     if np.any(outside):
         bad = float(xs.flat[int(np.argmax(outside))])
-        raise DomainError(f"x = {bad} outside the open interval ({bc.x_a}, {bc.x_b})")
+        raise DomainError(f"x = {bad} outside the open interval ({bc.x_a}, {bc.x_b})", bad)
 
 
 class BoundaryTables:
@@ -140,7 +145,7 @@ def compose_final_many(spec, params, rho_a, rho_b, bc, xs):
     (family params..., rho_a, rho_b), param_count(spec) + 2 in all.
     """
     xs = np.asarray(xs, dtype=float)
-    fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs, bc.table_scale)
+    fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs, bc.table_scale, bc.table_centre)
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
         y, dy, pullback = BoundaryTables(bc, xs).compose(fy, fdy, rho_a, rho_b)
         # the composition's per-point weights (c1, c2) on the family's y and dy rows

@@ -23,7 +23,11 @@ class UnknownIdentifierError(VaripadeError):
 
 
 class DomainError(VaripadeError):
-    """Evaluation left the natural domain (sqrt of negative, near-zero divisor, ...)."""
+    """Evaluation left the natural domain (sqrt of negative, near-zero divisor, ...) at `x`."""
+
+    def __init__(self, message, x):
+        super().__init__(message)
+        self.x = x
 
 
 class StructureSyntaxError(VaripadeError):

@@ -327,9 +327,10 @@ def to_string(node):
 _FOLD_AT = np.zeros(1)
 
 
-def _first_bad(x, mask):
-    idx = int(np.argmax(mask))
-    return float(np.asarray(x).reshape(-1)[idx] if np.ndim(x) else x)
+def _domain_error(what, x, mask):
+    """DomainError for `what` at the first x where `mask` holds; `.x` is that x."""
+    at = float(np.asarray(x).reshape(-1)[int(np.argmax(mask))] if np.ndim(x) else x)
+    return DomainError(f"{what} near x = {at}", at)
 
 
 def _plus(s, t):
@@ -418,7 +419,7 @@ def _call(fn, arg):
         if fn.domain is not None:
             bad = fn.domain(v)
             if np.any(bad):
-                raise DomainError(f"{fn.domain_error} near x = {_first_bad(x, bad)}")
+                raise _domain_error(fn.domain_error, x, bad)
         r = fn.value(v)
         if ty is None and tdy is None:
             return r, None, None
@@ -458,7 +459,7 @@ def _div(left, right):
         b, by, bdy = right(x, xv, y, dy)
         small = np.abs(b) < _DIV_FLOOR
         if np.any(small):
-            raise DomainError(f"near-zero divisor near x = {_first_bad(x, small)}")
+            raise _domain_error("near-zero divisor", x, small)
         v = a / b
 
         def partial(at, bt):
@@ -476,7 +477,7 @@ def _var_pow(left, right):
         a, ay, ady = left(x, xv, y, dy)
         b, by, bdy = right(x, xv, y, dy)
         if np.any(a <= 0):
-            raise DomainError(f"variable power of non-positive base near x = {_first_bad(x, a <= 0)}")
+            raise _domain_error("variable power of non-positive base", x, a <= 0)
         la = np.log(a)
         v = np.exp(b * la)
 
@@ -504,14 +505,14 @@ def _const_pow(left, exponent):
             # the exponent does not depend on x; the first point names it in errors
             at = x.reshape(-1)[:1] if x.size else _FOLD_AT
             exponent(at, None, None, None)
-            raise DomainError(f"non-finite constant exponent near x = {float(at[0])}")
+            raise _domain_error("non-finite constant exponent", at, True)
         if p == 0:
             return np.ones_like(a), None, None
         if isinstance(p, int):
             if p < 0:
                 small = np.abs(a) < _DIV_FLOOR
                 if np.any(small):
-                    raise DomainError(f"negative power of near-zero base near x = {_first_bad(x, small)}")
+                    raise _domain_error("negative power of near-zero base", x, small)
             v = a ** p
             if ay is None and ady is None:
                 return v, None, None
@@ -519,7 +520,7 @@ def _const_pow(left, exponent):
         else:
             # real exponent: only defined for nonnegative bases
             if np.any(a < 0):
-                raise DomainError(f"non-integer power of negative base near x = {_first_bad(x, a < 0)}")
+                raise _domain_error("non-integer power of negative base", x, a < 0)
             v = a ** p
             if ay is None and ady is None:
                 return v, None, None
@@ -568,7 +569,7 @@ def _on_grid(t, x):
     if np.shape(t) != x.shape:
         t = np.full(x.shape, t)
     if not np.isfinite(t).all():
-        raise DomainError(f"non-finite integrand value near x = {_first_bad(x, ~np.isfinite(t))}")
+        raise _domain_error("non-finite integrand value", x, ~np.isfinite(t))
     return t
 
 

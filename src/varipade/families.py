@@ -10,6 +10,16 @@ the `BoundaryCondition`, which lies in [-1, 1] on the interval and is x
 itself on intervals inside [-1, 1]. Every formula here is hand-derived and
 checked against finite differences in the test suite.
 
+RBF reads one table per grid, T = [1, x~, x~^2, x~^3] at x~ = x - centre,
+the interval's midpoint (`table_centre`), and the centres c~ = c - centre.
+Its exponent -(x~ - c~)^2 / (2 sigma) is a row of T[:3] times (h c~^2,
+-2 h c~, h) with h = -1 / (2 sigma), so a step is three small matmuls:
+exponents, then (y, dy) from phi, then the raw moments sum(phi x~^k c) of
+the pullback, which the binomial theorem turns into the central moments
+sum(phi (x~ - c~)^k c) the gradient needs. That expansion subtracts terms of
+size |x~|^3 to leave one of size |x~ - c~|^3: without centring, an interval
+such as (1000, 1001.5) would cancel about ten digits away.
+
 Parameter layouts (flat vector, in order):
 
     Pade-[m/n]   w_1..w_m, b1, w'_1..w'_n, b2            (m + n + 2)
@@ -181,6 +191,12 @@ def legendre_table(deg, xs):
     return p, dp
 
 
+def _each_dot(a, c):
+    """The per-point terms of a @ c, points first: shape (N,) + a.shape[:-1] + c.shape[1:]."""
+    terms = a.reshape(a.shape + (1,) * (c.ndim - 1)) * c
+    return np.moveaxis(terms, a.ndim - 1, 0)
+
+
 # Each family computes its values on a grid once and returns them with
 # pullback(c1, c2, terms), the parameter gradient of sum(c1 * y + c2 * dy).
 # `terms` = (dot(table, c), total(c)) takes the sum over the grid: _SUM gives
@@ -188,7 +204,7 @@ def legendre_table(deg, xs):
 # terms, the dense jet's rows at weights (1, 0) and (0, 1).
 # `tables` is what `family_tables` computed from the grid alone.
 _SUM = (np.matmul, lambda c: c.sum(keepdims=True))
-_EACH = (lambda a, c: (a * c).T, lambda c: c[:, None])
+_EACH = (_each_dot, lambda c: c[:, None])
 
 
 def _pade(spec, theta, tables):
@@ -239,28 +255,41 @@ def _basis(spec, theta, tables):
     return y, dy, pullback
 
 
-def _rbf(spec, theta, xs):
+def _rbf(spec, theta, tables):
+    """Gaussians in the centred x~ = x - centre, as matmuls on T = [1, x~, x~^2, x~^3]."""
     l = spec.centers
     w = theta[:l]
-    c = theta[l : 2 * l]
-    sig = np.exp(theta[2 * l : 3 * l])
+    centre, t = tables
+    c = theta[l : 2 * l] - centre
+    inv = np.exp(-theta[2 * l : 3 * l])  # 1 / sigma
     b = theta[3 * l]
-    u = xs[None, :] - c[:, None]
-    s = sig[:, None]
-    phi = np.exp(-u * u / (2.0 * s))
-    phix = -phi * u / s
-    y = w @ phi + b
-    dy = w @ phix
+    # exponent -(x~ - c~)^2 / (2 sigma) = h c~^2 - 2 h c~ x~ + h x~^2
+    h = -0.5 * inv
+    hc = h * c
+    phi = np.array([hc * c, -2.0 * hc, h]).T @ t[:3]
+    np.exp(phi, out=phi)
+    # dy = sum w phi (c~ - x~) / sigma
+    wi = w * inv
+    wy = np.array([w, wi, wi * c]) @ phi
+    y = wy[0] + b
+    dy = wy[2] - t[1] * wy[1]
 
     def pullback(c1, c2, terms=_SUM):
+        # raw moments sum(phi x~^k c1), k < 3, and sum(phi x~^k c2), k < 4, in one dot
         dot, total = terms
-        q = phi * u / s  # d phi / d c
-        r = q * u  # 2 d phi / d rho
-        qc2 = dot(q, c2)
+        raw = dot(phi, np.concatenate([t[:3] * c1, t * c2]).T)
+        a0, a1, a2, b0, b1, b2, b3 = np.moveaxis(raw, -1, 0)
+        # the central moments sum(phi u^k c), u = x~ - c~, by the binomial theorem
+        u1 = a1 - c * a0
+        u2 = a2 - c * (a1 + u1)
+        v1 = b1 - c * b0
+        v2 = b2 - c * (b1 + v1)
+        v3 = b3 - c * (2.0 * b2 - c * b1 + v2)
+        # d phi / d c = phi u / sigma and d phi / d rho = phi u^2 / (2 sigma)
         return np.concatenate([
-            dot(phi, c1) - qc2,
-            w * (dot(q, c1) + (dot(phi, c2) - dot(r, c2)) / sig),
-            w * (0.5 * dot(r, c1) + qc2 - 0.5 * dot(r * u, c2) / sig),
+            a0 - inv * v1,
+            wi * (u1 + b0 - inv * v2),
+            wi * (0.5 * u2 + v1 - 0.5 * inv * v3),
             total(c1),
         ], axis=-1)
 
@@ -318,14 +347,16 @@ def _mlp(spec, theta, xs):
 _FAMILIES = {"Pade": _pade, "Leg": _basis, "Poly": _basis, "RBF": _rbf, "MLP": _mlp}
 
 
-def family_tables(spec, xs, scale=1.0):
+def family_tables(spec, xs, scale=1.0, centre=0.0):
     """What a family reads from the grid alone, computed once per grid.
 
     `xs` is one grid (N,) or a block of grids (K, N); every table then has
     the leading row axis, and `table_row(tables, k)` is grid k's share.
     Pade, Leg and Poly tabulate their bases at t = x / scale, and their
     slope tables hold d/dx = (d/dt) / scale; `BoundaryCondition.table_scale`
-    keeps |t| <= 1 on the interval.
+    keeps |t| <= 1 on the interval. RBF tabulates T = [1, x~, x~^2, x~^3] at
+    x~ = x - centre, with `centre` kept as one entry per grid;
+    `BoundaryCondition.table_centre` is the interval's midpoint.
     """
     # an overflowed power reaches the finiteness checks of the values
     with np.errstate(all="ignore"):
@@ -338,6 +369,11 @@ def family_tables(spec, xs, scale=1.0):
         if spec.kind == "Pade":
             p, dp = _powers(xs / scale, max(spec.pade_m, spec.pade_n))
             return xs, (p, dp / scale)
+        if spec.kind == "RBF":
+            xt = xs - centre
+            x2 = xt * xt
+            t = np.stack([np.ones_like(xt), xt, x2, x2 * xt], axis=-2)
+            return np.full(xs.shape[:-1] + (1,), float(centre)), t
     if spec.kind in _FAMILIES:
         return xs
     raise InvalidStructureError(f"unknown family kind {spec.kind!r}")
@@ -370,8 +406,8 @@ def family_forward(spec, params, tables):
     return _FAMILIES[spec.kind](spec, theta[:pf], tables)
 
 
-def family_jet_many(spec, params, xs, scale=1.0):
-    """Vectorized jet over an array of x values, on family_tables(spec, xs, scale).
+def family_jet_many(spec, params, xs, scale=1.0, centre=0.0):
+    """Vectorized jet over an array of x values, on family_tables(spec, xs, scale, centre).
 
     Returns (y, dy_dx, grad_y, grad_dy_dx) with shapes (N,), (N,),
     (P, N), (P, N), where P = param_count(spec); only the first P
@@ -379,7 +415,7 @@ def family_jet_many(spec, params, xs, scale=1.0):
     of the training pullback at weights (1, 0) and (0, 1).
     """
     xs = np.asarray(xs, dtype=float)
-    tables = family_tables(spec, xs, scale)
+    tables = family_tables(spec, xs, scale, centre)
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
         y, dy, pullback = family_forward(spec, params, tables)
         gy, gdy = (pullback(*w, _EACH).T for w in unit_weights(xs.shape[0]))

@@ -26,6 +26,7 @@ reference the tests check the gradient against.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -61,6 +62,8 @@ def sample_grid(bc, n, mode="midpoint", seed=0):
               gives a (K, n) block of grids, row k drawn exactly as seed[k]
               alone would draw it.
     """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"need at least one sample point, got {n}")
     length = bc.x_b - bc.x_a
@@ -104,7 +107,7 @@ class Plan:
         self.spec = spec
         self.weight = grid.weight
         boundary = BoundaryTables(problem.bc, block)
-        family = family_tables(spec, block, problem.bc.table_scale)
+        family = family_tables(spec, block, problem.bc.table_scale, problem.bc.table_centre)
         integrand = problem.integrand.bind_rows(block)
         self.rows = tuple(
             _Row(block[k], boundary.row(k), table_row(family, k), integrand[k])

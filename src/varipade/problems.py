@@ -10,6 +10,7 @@ solution (1/6); reports show both rather than choosing silently.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -229,6 +230,8 @@ def run_matrix(cases, structures=None, config=TrainConfig(), n_seeds=1, parallel
     """
     if not cases or (structures is not None and not structures):
         raise ValueError("cases and structures must be nonempty")
+    if not isinstance(n_seeds, numbers.Integral) or isinstance(n_seeds, bool) or n_seeds < 1:
+        raise ValueError(f"n_seeds must be a positive integer, got {n_seeds!r}")
     pairs = []
     for case in cases:
         for pos, structure in enumerate(structures or case.default_structures):

@@ -75,6 +75,11 @@ class TestRunMatrix:
         with pytest.raises(ValueError):
             run_matrix(builtin_cases()[:1], structures=[])
 
+    @pytest.mark.parametrize("n_seeds", [0, -1, 1.5, True])
+    def test_rejects_a_seed_count_below_one_or_no_integer(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds must be a positive integer"):
+            run_matrix(builtin_cases()[:1], structures=["Poly-3"], n_seeds=n_seeds)
+
     def test_small_matrix(self):
         config = TrainConfig(steps=300, grid_n=100, record_every=100)
         report = run_matrix(builtin_cases()[:1], structures=["Pade-[5/5]", "Poly-3"],

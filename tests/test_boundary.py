@@ -65,8 +65,10 @@ class TestBoundaryFactor:
     def test_rejects_points_outside_open_interval(self):
         bc = BoundaryCondition(0.0, 1.0, 0.0, 0.0)
         for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(DomainError):
-                boundary_factor_many(bc, 0.0, 0.0, np.array([0.5, bad]))
+            later = 0.0 if bad else 2.0  # the error names the first point outside
+            with pytest.raises(DomainError, match=rf"^x = {bad} outside the open interval") as exc:
+                boundary_factor_many(bc, 0.0, 0.0, np.array([0.5, bad, later]))
+            assert exc.value.x == bad
 
     def test_exponent_gradients_match_finite_differences(self, rng):
         bc = BoundaryCondition(-0.5, 2.0, 0.0, 0.0)

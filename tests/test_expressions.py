@@ -93,8 +93,10 @@ class TestEvaluation:
         assert (value[0], dF_dy[0], dF_ddy[0]) == (1.0, -2.0, 2.0)
 
     def test_sqrt_negative_raises(self):
-        with pytest.raises(DomainError):
-            at(parse_integrand("sqrt(y)"), 0.0, -1.0, 0.0)
+        x = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(DomainError, match=r"^sqrt of negative value near x = 0.2$") as exc:
+            eval_integrand_many(parse_integrand("sqrt(y)"), x, np.array([1.0, -1.0, -2.0]), np.zeros(3))
+        assert exc.value.x == 0.2
 
     def test_division_floor_raises(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from varipade import (
+    BoundaryCondition,
     InvalidStructureError,
     PoleError,
     StructureSyntaxError,
@@ -171,16 +172,31 @@ def test_jet_matches_finite_differences(structure, rng):
             assert abs(gdy[k, 0] - fd_dy) <= tol(fd_dy)
 
 
-@pytest.mark.parametrize("structure", ALL_FAMILIES)
-def test_pullback_matches_directional_finite_difference(structure, rng):
+# RBF off the unit interval, with its first kernel narrowed to sigma = 1e-3:
+# without centring x, its moment expansion cancels catastrophically here
+OFF_UNIT = BoundaryCondition(1000.0, 1001.5, 0.3, -0.2)
+NARROW_RHO = np.log(1e-3)
+
+# (interval, range the points are drawn from, rho of the first RBF width or None)
+ON_UNIT_DRAW = (BoundaryCondition(-1.0, 1.0, 0.0, 0.0), (-0.95, 0.95), None)
+OFF_UNIT_DRAW = (OFF_UNIT, (1000.05, 1001.45), NARROW_RHO)
+
+
+@pytest.mark.parametrize("structure,draw", [pytest.param(s, ON_UNIT_DRAW, id=s) for s in ALL_FAMILIES]
+                         + [pytest.param("RBF-[4]", OFF_UNIT_DRAW, id="RBF-[4]-off-unit")])
+def test_pullback_matches_directional_finite_difference(structure, draw, rng):
     # pullback(c1, c2) . d is the derivative of sum(c1 * y + c2 * dy) along d
+    bc, (lo, hi), narrow_rho = draw
     spec = parse_structure(structure)
     pf = param_count(spec)
-    xs = np.sort(rng.uniform(-0.95, 0.95, 40))
-    tables = family_tables(spec, xs)
+    xs = np.sort(rng.uniform(lo, hi, 40))
+    tables = family_tables(spec, xs, bc.table_scale, bc.table_centre)
     h = 1e-6
     for _ in range(30):
-        theta = init_params(spec, int(rng.integers(1 << 30))) + rng.normal(0, 0.3, pf)
+        theta = init_params(spec, int(rng.integers(1 << 30)), domain=(bc.x_a, bc.x_b))
+        theta = theta + rng.normal(0, 0.3, pf)
+        if narrow_rho is not None:
+            theta[2 * spec.centers] = narrow_rho
         c1, c2 = rng.normal(0, 1, (2, xs.size))
         direction = rng.normal(0, 1, pf)
 

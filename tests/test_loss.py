@@ -21,6 +21,7 @@ from varipade import (
     sample_grid,
 )
 from varipade.boundary import BoundaryTables
+from test_families import NARROW_RHO, OFF_UNIT
 
 
 class TestSampleGrid:
@@ -65,6 +66,17 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             sample_grid(bc, 10, mode="sobol")
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("mode", ["midpoint", "random"])
+    def test_rejects_a_count_that_is_no_integer(self, n, mode):
+        # 2.5 midpoints would put the last point on x_b, an endpoint the loss never samples
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_grid(BoundaryCondition(0.0, 1.0, 0.0, 0.0), n, mode)
+
+    def test_a_numpy_integer_count(self):
+        grid = sample_grid(BoundaryCondition(0.0, 1.0, 0.0, 0.0), np.int64(2))
+        assert np.allclose(grid.points, [0.25, 0.75], atol=1e-15)
+
 
 class TestFunctionalValue:
     """Midpoint quadrature of each benchmark integrand on its exact solution
@@ -99,6 +111,13 @@ class TestFunctionalValue:
     def test_zero_integrand(self):
         problem = Problem(parse_integrand("0 * y"), BoundaryCondition(0.0, 1.0, 0.0, 0.0))
         assert functional_value(problem, lambda x: (x, np.ones_like(x)), 100) == 0.0
+
+    def test_rejects_a_count_that_is_no_integer(self):
+        problem = Problem(parse_integrand("dy^2"), BoundaryCondition(0.0, 1.0, 0.0, 1.0))
+        line = lambda x: (x, np.ones_like(x))  # noqa: E731
+        assert functional_value(problem, line, 2) == 1.0
+        with pytest.raises(ValueError, match="n must be an integer"):
+            functional_value(problem, line, 2.5)
 
     def test_quadrature_is_second_order(self):
         # midpoint rule error should shrink ~4x when n doubles on smooth data
@@ -163,9 +182,12 @@ class TestLossAndGrad:
                 assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
-# every family on the builtin case it is paired with in the paper's matrix
+# every family on the builtin case it is paired with in the paper's matrix, and
+# RBF on (1000, 1001.5) with one kernel narrowed, which needs x centred
 ORACLE_PAIRS = [(0, "Pade-[5/5]"), (1, "RBF-[8]"), (2, "MLP-[[4,sigmoid]]"), (3, "Leg-15"),
-                (4, "Poly-4"), (4, "MLP-[[3,tanh],[3,tanh]]"), (3, "Pade-[4/5]"), (2, "RBF-[16]")]
+                (4, "Poly-4"), (4, "MLP-[[3,tanh],[3,tanh]]"), (3, "Pade-[4/5]"), (2, "RBF-[16]"),
+                ("off-unit", "RBF-[4]")]
+OFF_UNIT_PROBLEM = Problem(parse_integrand("dy^2 + (x - 1000) * y^2"), OFF_UNIT)
 
 
 class TestReverseModeAgainstForwardJet:
@@ -174,20 +196,23 @@ class TestReverseModeAgainstForwardJet:
     @pytest.mark.parametrize("mode", ["midpoint", "random"])
     @pytest.mark.parametrize("case_index,structure", ORACLE_PAIRS)
     def test_loss_bitwise_and_gradient_to_rounding(self, case_index, structure, mode, rng):
-        case = builtin_cases()[case_index]
-        bc = case.problem.bc
+        off_unit = case_index == "off-unit"
+        problem = OFF_UNIT_PROBLEM if off_unit else builtin_cases()[case_index].problem
+        bc = problem.bc
         spec = parse_structure(structure)
         pf = param_count(spec)
         grid = sample_grid(bc, 300, mode, seed=int(rng.integers(1 << 30)))
         for _ in range(5):
             theta = init_params(spec, int(rng.integers(1 << 30)), domain=(bc.x_a, bc.x_b))
             theta = theta + rng.normal(0, 0.05, pf)
+            if off_unit:
+                theta[2 * spec.centers] = NARROW_RHO
             rho_a, rho_b = rng.uniform(-0.4, 0.8, 2)
             y, dy, gy, gdy = compose_final_many(spec, theta, rho_a, rho_b, bc, grid.points)
-            f, f_y, f_dy = eval_integrand_many(case.problem.integrand, grid.points, y, dy)
+            f, f_y, f_dy = eval_integrand_many(problem.integrand, grid.points, y, dy)
             expected_loss = grid.weight * float(np.sum(f))
             expected_grad = grid.weight * (gy @ f_y + gdy @ f_dy)
-            plan = Plan(case.problem, spec, grid)
+            plan = Plan(problem, spec, grid)
             loss, grad = loss_and_grad(plan, np.concatenate([theta, [rho_a, rho_b]]))
             assert loss == expected_loss
             assert np.max(np.abs(grad - expected_grad)) <= 1e-12 * np.max(np.abs(expected_grad))

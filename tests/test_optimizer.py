@@ -284,9 +284,9 @@ GRID_TRAINING = {
     ("RBF-[3]", "random"): (
         [(0, 1.3574032996196272), (10, 1.306312168886617), (20, 1.3370960043900193),
          (30, 1.3412926791228756), (40, 1.380347101908661), (50, 1.327940887062763)],
-        [-0.015145136372418207, -0.10571172702471045, -0.05025838048577721, 0.13859437042485068,
-         0.6719180528657448, 1.033068742378057, -0.9917703554046805, -0.9055701614263221,
-         -1.2545631290828023, 0.03724293802724671, 0.08099408678998256, -0.09524522521707826],
+        [-0.015145136372418294, -0.10571172702471038, -0.05025838048577724, 0.1385943704248506,
+         0.6719180528657447, 1.033068742378057, -0.9917703554046805, -0.9055701614263223,
+         -1.254563129082803, 0.037242938027246764, 0.08099408678998268, -0.09524522521707822],
     ),
     ("MLP-[[3,tanh]]", "random"): (
         [(0, 1.3474023357614044), (10, 1.2975939607704887), (20, 1.3311807191907437),
@@ -314,11 +314,11 @@ GRID_TRAINING = {
          0.12642325568266857, 1.0827755985990317, 0.06308068136694828, -0.07406694244777322],
     ),
     ("RBF-[3]", "midpoint"): (
-        [(0, 1.3294875749838229), (10, 1.3279364450637967), (20, 1.3278267272232858),
-         (30, 1.3276159834497763), (40, 1.3275056125273674), (50, 1.3273383227507367)],
-        [-0.036705879310665566, -0.08054784510150635, -0.014449328609027201, 0.15484235987512043,
-         0.5789931007055533, 0.9827102173795154, -0.9523046083981515, -0.7373241815575121,
-         -1.0765138075386746, 0.01422900627716314, 0.0351415754606111, -0.3514901924387339],
+        [(0, 1.3294875749838229), (10, 1.3279364450637965), (20, 1.3278267272232858),
+         (30, 1.3276159834497763), (40, 1.327505612527367), (50, 1.3273383227507367)],
+        [-0.03670587931066564, -0.08054784510150649, -0.014449328609027, 0.15484235987512157,
+         0.5789931007055538, 0.9827102173795133, -0.9523046083981502, -0.7373241815575123,
+         -1.076513807538675, 0.014229006277163236, 0.0351415754606106, -0.35149019243873275],
     ),
     ("MLP-[[3,tanh]]", "midpoint"): (
         [(0, 1.3287205674565905), (10, 1.3277731872594731), (20, 1.3277094271506342),
