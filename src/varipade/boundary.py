@@ -15,11 +15,14 @@ Training pulls the loss back through `BoundaryTables.compose`, on tables
 computed once per grid. `compose_final_many` is the jet of the
 composition, with dense gradient rows, kept for evaluation, the step
 preconditioner and as the test oracle: its rows are the per-point terms of
-that same pullback, so the chain rule is written once.
+that same pullback, so the chain rule is written once. It hands the family
+the interval (x_a, x_b), from which the family derives its reference map.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,20 +39,16 @@ class BoundaryCondition:
     y_b: float
 
     def __post_init__(self):
-        if not all(np.isfinite([self.x_a, self.x_b, self.y_a, self.y_b])):
-            raise ValueError(f"boundary values must be finite, got {self}")
+        for name in ("x_a", "x_b", "y_a", "y_b"):
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.x_b - self.x_a > 0:
             raise ValueError(f"need x_a < x_b, got [{self.x_a}, {self.x_b}]")
 
-    @property
-    def table_scale(self):
-        """Pade, Leg and Poly read x / table_scale, which lies in [-1, 1] on the interval."""
-        return max(1.0, abs(self.x_a), abs(self.x_b))
 
-    @property
-    def table_centre(self):
-        """RBF reads x - table_centre, the interval's midpoint."""
-        return 0.5 * (self.x_a + self.x_b)
+def _finite(value):
+    """A finite real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _check_inside(bc, xs):
@@ -145,7 +144,7 @@ def compose_final_many(spec, params, rho_a, rho_b, bc, xs):
     (family params..., rho_a, rho_b), param_count(spec) + 2 in all.
     """
     xs = np.asarray(xs, dtype=float)
-    fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs, bc.table_scale, bc.table_centre)
+    fy, fdy, fgy, fgdy = family_jet_many(spec, params, xs, (bc.x_a, bc.x_b))
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
         y, dy, pullback = BoundaryTables(bc, xs).compose(fy, fdy, rho_a, rho_b)
         # the composition's per-point weights (c1, c2) on the family's y and dy rows

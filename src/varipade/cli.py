@@ -214,8 +214,9 @@ def cmd_bench(args):
         if unknown:
             raise CliError(f"unknown case indices {sorted(unknown)}; valid: 1..5")
         cases = [c for c in cases if c.index in wanted]
-    if args.seeds < 1:
-        raise CliError(f"--seeds must be at least 1, got {args.seeds}")
+    for flag, value in (("--seeds", args.seeds), ("--parallel", args.parallel)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value}")
     structures = args.structures or None
     if structures is not None:
         for s in structures:

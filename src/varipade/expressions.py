@@ -93,11 +93,10 @@ class Call:
 
 @dataclass(frozen=True)
 class IntegrandExpr:
-    """Parsed integrand; `text` is the original source (for error messages).
+    """Parsed integrand; `text` is the original source, and its `str`.
 
     The tree is compiled once, when the expression is built; `bind(x)`
-    evaluates the parts that depend on x alone on one grid, `bind_rows(x)`
-    on a block of grids at once.
+    evaluates the parts that depend on x alone on a block of grids at once.
     """
 
     root: object
@@ -112,21 +111,16 @@ class IntegrandExpr:
         return IntegrandExpr, (self.root, self.text)
 
     def __str__(self):
-        return to_string(self.root)
+        return self.text
 
     def bind(self, x):
-        """The integrand on grid `x`: a function (y, dy) -> (F, dF/dy, dF/ddy)."""
-        x = np.asarray(x, dtype=float)
-        return self.program.bind(x, self.program.slot_values(x))
-
-    def bind_rows(self, x):
-        """One evaluator per row of a (K, N) block of grids.
+        """One evaluator (y, dy) -> (F, dF/dy, dF/ddy) per row of a (K, N) block of grids.
 
         The x-only values are computed once, for the whole block.
         """
         program = self.program
         xv = program.slot_values(x)
-        return [program.bind(x[k], [v[k] for v in xv]) for k in range(x.shape[0])]
+        return [program.bind(x[k, ...], [v[k, ...] for v in xv]) for k in range(x.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -261,54 +255,6 @@ def parse_integrand(text):
     if kind != "end":
         raise ExpressionSyntaxError(f"trailing input {val!r}", off)
     return IntegrandExpr(root, text)
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (round-trips through parse_integrand)
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(node):
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def to_string(node):
-    if isinstance(node, Const):
-        if node.value == math.pi:
-            return "pi"
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({to_string(node.arg)})"
-    if isinstance(node, Neg):
-        inner = to_string(node.arg)
-        if _prec(node.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        left = to_string(node.left)
-        right = to_string(node.right)
-        if node.op == "^":
-            # the grammar allows only an atom as the base and a unary exponent
-            if _prec(node.left) < _PREC["atom"]:
-                left = f"({left})"
-            if _prec(node.right) < _PREC["neg"]:
-                right = f"({right})"
-            return f"{left}^{right}"
-        p = _PREC[node.op]
-        if _prec(node.left) < p:
-            left = f"({left})"
-        if _prec(node.right) <= p:  # left associative
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +523,11 @@ def eval_integrand_many(expr, x, y, dy, bound=None):
     """Vectorized integrand evaluation.
 
     Returns (F, dF_dy, dF_ddy) as arrays shaped like the broadcast inputs.
-    `bound` is `expr.bind(x)` for this x, when the caller keeps one.
+    `bound` is `expr.bind(x[None])[0]` for this x, when the caller keeps one.
     """
     if bound is not None:
         return bound(y, dy)
     x, y, dy = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(dy, dtype=float)
     )
-    return expr.bind(x)(y, dy)
+    return expr.bind(x[None])[0](y, dy)

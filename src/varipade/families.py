@@ -5,13 +5,17 @@ exact partial derivatives of both with respect to every trainable
 parameter. Each family writes those derivatives once, in closed form, as
 its pullback: the gradient of sum(c1 * y + c2 * dy/dx) for weights c1, c2.
 Training takes the sum; the jet is its per-point terms at weights (1, 0)
-and (0, 1). Pade, Leg and Poly are polynomials in t = x / `table_scale` of
-the `BoundaryCondition`, which lies in [-1, 1] on the interval and is x
-itself on intervals inside [-1, 1]. Every formula here is hand-derived and
-checked against finite differences in the test suite.
+and (0, 1). Every formula here is hand-derived and checked against finite
+differences in the test suite.
+
+`family_tables` derives the reference map from the interval (x_a, x_b),
+passed as `domain`. Pade, Leg and Poly are polynomials in t = x / scale,
+scale = max(1, |x_a|, |x_b|), so t lies in [-1, 1] on the interval and is
+x itself on intervals inside [-1, 1]. Leg and Poly are one polynomial
+kernel; Pade is the quotient of two on a shared power table.
 
 RBF reads one table per grid, T = [1, x~, x~^2, x~^3] at x~ = x - centre,
-the interval's midpoint (`table_centre`), and the centres c~ = c - centre.
+the interval's midpoint, and the centres c~ = c - centre.
 Its exponent -(x~ - c~)^2 / (2 sigma) is a row of T[:3] times (h c~^2,
 -2 h c~, h) with h = -1 / (2 sigma), so a step is three small matmuls:
 exponents, then (y, dy) from phi, then the raw moments sum(phi x~^k c) of
@@ -98,8 +102,12 @@ def parse_structure(text):
         return FamilySpec(m.group(1), degree=degree)
     m = _MLP_RE.match(text)
     if m:
+        parts = re.findall(r"\[[^\[\]]*\]", m.group(1))
+        if ",".join(parts) != m.group(1):
+            raise StructureSyntaxError(f"MLP layers must be [width,activation] entries "
+                                       f"separated by single commas: {text!r}")
         layers = []
-        for part in re.findall(r"\[[^\[\]]*\]", m.group(1)):
+        for part in parts:
             lm = _MLP_LAYER_RE.match(part)
             if lm is None:
                 raise StructureSyntaxError(f"bad MLP layer {part!r} in {text!r}")
@@ -109,8 +117,6 @@ def parse_structure(text):
             if act not in _ACTIVATIONS:
                 raise InvalidStructureError(f"unknown activation {act!r} in {text!r}")
             layers.append((width, act))
-        if not layers:
-            raise StructureSyntaxError(f"MLP needs at least one layer: {text!r}")
         return FamilySpec("MLP", layers=tuple(layers))
     raise StructureSyntaxError(f"unrecognized structure string {text!r}")
 
@@ -207,17 +213,33 @@ _SUM = (np.matmul, lambda c: c.sum(keepdims=True))
 _EACH = (_each_dot, lambda c: c[:, None])
 
 
+def _polynomial(p, dp, theta):
+    """y = theta[:-1] @ p + theta[-1] on basis rows p, whose x-slopes are dp.
+
+    Returns y, dy and the pullback of sum(c1 * y + c2 * dy) over theta.
+    """
+    w = theta[:-1]
+    y = w @ p + theta[-1]
+    dy = w @ dp
+
+    def pullback(c1, c2, terms=_SUM):
+        dot, total = terms
+        return np.concatenate([dot(p, c1) + dot(dp, c2), total(c1)], axis=-1)
+
+    return y, dy, pullback
+
+
+def _basis(spec, theta, tables):
+    """Leg and Poly: the kernel on their (deg, N) rows for basis functions 1..deg."""
+    return _polynomial(*tables, theta)
+
+
 def _pade(spec, theta, tables):
+    """The quotient of two polynomial kernels on one power table."""
     m, n = spec.pade_m, spec.pade_n
-    w = theta[:m]
-    b1 = theta[m]
-    wp = theta[m + 1 : m + 1 + n]
-    b2 = theta[m + 1 + n]
     xs, (p, dp) = tables
-    num = w @ p[:m] + b1
-    dnum = w @ dp[:m]
-    den = wp @ p[:n] + b2
-    dden = wp @ dp[:n]
+    num, dnum, num_pullback = _polynomial(p[:m], dp[:m], theta[: m + 1])
+    den, dden, den_pullback = _polynomial(p[:n], dp[:n], theta[m + 1 :])
     bad = np.abs(den) < _POLE_FLOOR
     if np.any(bad):
         raise PoleError(float(xs[int(np.argmax(bad))]))
@@ -227,30 +249,12 @@ def _pade(spec, theta, tables):
     dy = dnum * inv - num * dden * inv2
 
     def pullback(c1, c2, terms=_SUM):
-        # numerator rows read (a1, a2), denominator rows (e1, e2), against (p, dp)
-        dot, total = terms
-        a1 = inv * c1 - dden * inv2 * c2
-        a2 = inv * c2
-        e1 = inv2 * ((2.0 * num * dden * inv - dnum) * c2 - num * c1)
-        e2 = -num * inv2 * c2
+        # the quotient rule's weights on the numerator's (y, dy) and the denominator's
         return np.concatenate([
-            dot(p[:m], a1) + dot(dp[:m], a2), total(a1), dot(p[:n], e1) + dot(dp[:n], e2), total(e1),
+            num_pullback(inv * c1 - dden * inv2 * c2, inv * c2, terms),
+            den_pullback(inv2 * ((2.0 * num * dden * inv - dnum) * c2 - num * c1),
+                         -num * inv2 * c2, terms),
         ], axis=-1)
-
-    return y, dy, pullback
-
-
-def _basis(spec, theta, tables):
-    """Leg and Poly: a linear combination of fixed basis rows plus a bias."""
-    deg = spec.degree
-    p, dp = tables  # (deg, N) rows for basis functions 1..deg
-    w = theta[:deg]
-    y = w @ p + theta[deg]
-    dy = w @ dp
-
-    def pullback(c1, c2, terms=_SUM):
-        dot, total = terms
-        return np.concatenate([dot(p, c1) + dot(dp, c2), total(c1)], axis=-1)
 
     return y, dy, pullback
 
@@ -347,17 +351,19 @@ def _mlp(spec, theta, xs):
 _FAMILIES = {"Pade": _pade, "Leg": _basis, "Poly": _basis, "RBF": _rbf, "MLP": _mlp}
 
 
-def family_tables(spec, xs, scale=1.0, centre=0.0):
+def family_tables(spec, xs, domain=(-1.0, 1.0)):
     """What a family reads from the grid alone, computed once per grid.
 
-    `xs` is one grid (N,) or a block of grids (K, N); every table then has
-    the leading row axis, and `table_row(tables, k)` is grid k's share.
-    Pade, Leg and Poly tabulate their bases at t = x / scale, and their
-    slope tables hold d/dx = (d/dt) / scale; `BoundaryCondition.table_scale`
-    keeps |t| <= 1 on the interval. RBF tabulates T = [1, x~, x~^2, x~^3] at
-    x~ = x - centre, with `centre` kept as one entry per grid;
-    `BoundaryCondition.table_centre` is the interval's midpoint.
+    `xs` is one grid (N,) or a block of grids (K, N) inside the interval
+    `domain` = (x_a, x_b); every table then has the leading row axis, and
+    `table_row(tables, k)` is grid k's share. Pade, Leg and Poly tabulate
+    their bases at t = x / scale, which lies in [-1, 1] on the interval, and
+    their slope tables hold d/dx = (d/dt) / scale. RBF tabulates
+    T = [1, x~, x~^2, x~^3] at x~ = x - centre, the interval's midpoint,
+    with `centre` kept as one entry per grid.
     """
+    x_a, x_b = domain
+    scale, centre = max(1.0, abs(x_a), abs(x_b)), 0.5 * (x_a + x_b)
     # an overflowed power reaches the finiteness checks of the values
     with np.errstate(all="ignore"):
         if spec.kind == "Leg":
@@ -406,8 +412,8 @@ def family_forward(spec, params, tables):
     return _FAMILIES[spec.kind](spec, theta[:pf], tables)
 
 
-def family_jet_many(spec, params, xs, scale=1.0, centre=0.0):
-    """Vectorized jet over an array of x values, on family_tables(spec, xs, scale, centre).
+def family_jet_many(spec, params, xs, domain=(-1.0, 1.0)):
+    """Vectorized jet over an array of x values, on family_tables(spec, xs, domain).
 
     Returns (y, dy_dx, grad_y, grad_dy_dx) with shapes (N,), (N,),
     (P, N), (P, N), where P = param_count(spec); only the first P
@@ -415,7 +421,7 @@ def family_jet_many(spec, params, xs, scale=1.0, centre=0.0):
     of the training pullback at weights (1, 0) and (0, 1).
     """
     xs = np.asarray(xs, dtype=float)
-    tables = family_tables(spec, xs, scale, centre)
+    tables = family_tables(spec, xs, domain)
     with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
         y, dy, pullback = family_forward(spec, params, tables)
         gy, gdy = (pullback(*w, _EACH).T for w in unit_weights(xs.shape[0]))

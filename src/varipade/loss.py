@@ -107,8 +107,8 @@ class Plan:
         self.spec = spec
         self.weight = grid.weight
         boundary = BoundaryTables(problem.bc, block)
-        family = family_tables(spec, block, problem.bc.table_scale, problem.bc.table_centre)
-        integrand = problem.integrand.bind_rows(block)
+        family = family_tables(spec, block, (problem.bc.x_a, problem.bc.x_b))
+        integrand = problem.integrand.bind(block)
         self.rows = tuple(
             _Row(block[k], boundary.row(k), table_row(family, k), integrand[k])
             for k in range(block.shape[0])

@@ -9,7 +9,6 @@ overflow mid-run produces a failed report instead of an exception).
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import compose_final_many
+from .boundary import _finite, compose_final_many
 from .errors import EvaluationOverflowError, VaripadeError
 from .families import init_kept, init_params, param_count
 from .loss import Plan, loss_and_grad, sample_grid
@@ -72,10 +71,6 @@ class TrainConfig:
             raise ValueError("seed must be nonnegative")
         if self.grid_n < 1 or self.record_every < 1:
             raise ValueError("grid_n and record_every must be positive")
-
-
-def _finite(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

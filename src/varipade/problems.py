@@ -230,8 +230,9 @@ def run_matrix(cases, structures=None, config=TrainConfig(), n_seeds=1, parallel
     """
     if not cases or (structures is not None and not structures):
         raise ValueError("cases and structures must be nonempty")
-    if not isinstance(n_seeds, numbers.Integral) or isinstance(n_seeds, bool) or n_seeds < 1:
-        raise ValueError(f"n_seeds must be a positive integer, got {n_seeds!r}")
+    for name, value in (("n_seeds", n_seeds), ("parallel", parallel)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     pairs = []
     for case in cases:
         for pos, structure in enumerate(structures or case.default_structures):

@@ -80,6 +80,11 @@ class TestRunMatrix:
         with pytest.raises(ValueError, match="n_seeds must be a positive integer"):
             run_matrix(builtin_cases()[:1], structures=["Poly-3"], n_seeds=n_seeds)
 
+    @pytest.mark.parametrize("parallel", [0, -3, 2.5, True])
+    def test_rejects_a_parallel_below_one_or_no_integer(self, parallel):
+        with pytest.raises(ValueError, match="parallel must be a positive integer"):
+            run_matrix(builtin_cases()[:1], structures=["Poly-3"], parallel=parallel)
+
     def test_small_matrix(self):
         config = TrainConfig(steps=300, grid_n=100, record_every=100)
         report = run_matrix(builtin_cases()[:1], structures=["Pade-[5/5]", "Poly-3"],

@@ -26,9 +26,22 @@ class TestBoundaryCondition:
         (-np.inf, 1.0, 0.0, 0.0),
         (0.0, 1.0, np.nan, 0.0),
         (0.0, 1.0, 0.0, -np.inf),
+        (None, 1, 0, 0),
+        ("0", 1, 0, 0),
+        (False, True, 0, 0),
     ])
     def test_rejects_non_finite_values(self, values):
         with pytest.raises(ValueError):
+            BoundaryCondition(*values)
+
+    @pytest.mark.parametrize("field,values", [
+        ("x_a", (None, 1.0, 0.0, 0.0)),
+        ("x_b", (0.0, "1", 0.0, 0.0)),
+        ("y_a", (0.0, 1.0, True, 0.0)),
+        ("y_b", (0.0, 1.0, 0.0, np.nan)),
+    ])
+    def test_error_names_the_field(self, field, values):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
             BoundaryCondition(*values)
 
 

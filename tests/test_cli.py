@@ -208,6 +208,14 @@ class TestBench:
         assert capsys.readouterr().err == "error: --seeds must be at least 1, got 0\n"
         assert not out.exists()
 
+    def test_zero_parallel(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["bench", "--cases", "1", "--structures", "Poly-3", "--parallel", "0",
+                     "--out", str(out)] + FAST)
+        assert code == 1
+        assert capsys.readouterr().err == "error: --parallel must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_multi_seed(self, tmp_path):
         out = tmp_path / "seeds"
         code = main(["bench", "--cases", "5", "--structures", "Poly-3", "--seeds", "3",

@@ -36,7 +36,9 @@ class TestParseStructure:
         with pytest.raises(InvalidStructureError):
             parse_structure("MLP-[[8,relu]]")
 
-    @pytest.mark.parametrize("text", ["Pade-[5]", "MLP-[]", "Frob-3", "Leg-", 5, b"Leg-3"])
+    @pytest.mark.parametrize("text", ["Pade-[5]", "MLP-[]", "Frob-3", "Leg-", 5, b"Leg-3",
+                                      "MLP-[[4,tanh]junk]", "MLP-[x[4,tanh]y]",
+                                      "MLP-[[4,tanh],,[3,tanh]]"])
     def test_garbage_rejected(self, text):
         with pytest.raises((StructureSyntaxError, InvalidStructureError)) as exc:
             parse_structure(text)
@@ -190,7 +192,7 @@ def test_pullback_matches_directional_finite_difference(structure, draw, rng):
     spec = parse_structure(structure)
     pf = param_count(spec)
     xs = np.sort(rng.uniform(lo, hi, 40))
-    tables = family_tables(spec, xs, bc.table_scale, bc.table_centre)
+    tables = family_tables(spec, xs, (bc.x_a, bc.x_b))
     h = 1e-6
     for _ in range(30):
         theta = init_params(spec, int(rng.integers(1 << 30)), domain=(bc.x_a, bc.x_b))

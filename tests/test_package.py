@@ -1,9 +1,12 @@
-"""The package's public surface, and the benchmark's use of the library."""
+"""The package's public surface, the benchmark's use of the library, and the demos."""
 
+import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import varipade
 
@@ -38,3 +41,13 @@ def test_benchmark_smoke_run_passes():
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == "smoke: ok"
+
+
+@pytest.mark.parametrize("demo", ["shortest_path.py", "custom_problem.py"])
+def test_demo_runs(demo):
+    # each demo ends in an assert on its answer; family_comparison.py is left out,
+    # since it takes about ten seconds and writes an SVG next to itself
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
