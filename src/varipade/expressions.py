@@ -296,7 +296,9 @@ def _minus(s, t):
 
 
 def _times(t, d):
-    return None if t is None else t * d
+    if t is None:
+        return None
+    return d if t is _ONE else t * d
 
 
 def _operand(reads, run, slots, parent_reads):
@@ -345,10 +347,12 @@ def _compile(node, slots):
 
 
 _VAR_READS = {name: frozenset([name]) for name in _VARIABLES}
+# a variable's partial with respect to itself; `_times` does not multiply it in
+_ONE = 1.0
 _VAR_RUNS = {
     "x": lambda x, xv, y, dy: (x, None, None),
-    "y": lambda x, xv, y, dy: (y, 1.0, None),
-    "dy": lambda x, xv, y, dy: (dy, None, 1.0),
+    "y": lambda x, xv, y, dy: (y, _ONE, None),
+    "dy": lambda x, xv, y, dy: (dy, None, _ONE),
 }
 
 
@@ -462,7 +466,7 @@ def _const_pow(left, exponent):
             v = a ** p
             if ay is None and ady is None:
                 return v, None, None
-            d = p * a ** (p - 1)
+            d = p * a if p == 2 else p * a ** (p - 1)
         else:
             # real exponent: only defined for nonnegative bases
             if np.any(a < 0):

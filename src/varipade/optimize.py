@@ -9,6 +9,7 @@ overflow mid-run produces a failed report instead of an exception).
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -111,14 +112,24 @@ class AdamState:
 
 
 def adam_step(state, params, grad, lr):
-    """One Adam update with bias correction; returns (new state, new params)."""
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return AdamState(m, v, t), new_params
+    """One Adam update with bias correction.
+
+    Updates state.m, state.v and state.t in place and returns
+    (state, new params); `params` is left as it is.
+    """
+    state.t += 1
+    t = state.t
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    step = m / (1.0 - ADAM_BETA1 ** t)
+    step *= lr
+    denom = np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
+    denom += ADAM_EPS
+    step /= denom
+    return state, params - step
 
 
 def train(problem, spec, config=TrainConfig()):
@@ -130,7 +141,7 @@ def train(problem, spec, config=TrainConfig()):
     adam = config.algorithm == "adam"
     state = AdamState.zeros(pf + 2) if adam else None
     record_every = config.record_every
-    log_lo, log_hi = np.log(EXPONENT_BOUNDS[0]), np.log(EXPONENT_BOUNDS[1])
+    log_lo, log_hi = math.log(EXPONENT_BOUNDS[0]), math.log(EXPONENT_BOUNDS[1])
     step_scale = 1.0
     history = []
     status = "max_steps"
@@ -164,8 +175,13 @@ def train(problem, spec, config=TrainConfig()):
                             f"non-finite Adam second moment at step {step} for {spec}")
                 else:
                     new_theta = sgd_step(theta, grad, config.learning_rate)
-                theta = theta + step_scale * (new_theta - theta)
-                theta[pf:] = np.clip(theta[pf:], log_lo, log_hi)
+                # the blend theta + step_scale * (new_theta - theta), in new_theta's array
+                new_theta -= theta
+                new_theta *= step_scale
+                new_theta += theta
+                theta = new_theta
+                theta[pf] = min(max(float(theta[pf]), log_lo), log_hi)
+                theta[pf + 1] = min(max(float(theta[pf + 1]), log_lo), log_hi)
                 steps_done = step + 1
         loss, _ = loss_and_grad(fixed or Plan(problem, spec, midpoint), theta)
         history.append((steps_done, loss))
