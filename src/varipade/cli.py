@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .boundary import BoundaryCondition
+from .boundary import BoundaryCondition, _finite
 from .errors import VaripadeError
 from .expressions import parse_integrand
 from .families import param_count, parse_structure
@@ -64,12 +64,13 @@ def _problem_from_config(problem_cfg):
                 f"unknown builtin problem {name!r}; available: {', '.join(builtin_names())}"
             )
         return case.problem, case.j_exact_analytic, {"builtin": name}
-    try:
-        keys = {k: float(problem_cfg[k]) for k in ("x_a", "x_b", "y_a", "y_b")}
-    except KeyError as exc:
-        raise CliError(f"custom problem missing field {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"custom problem bounds must be numbers: {exc}")
+    bounds = ("x_a", "x_b", "y_a", "y_b")
+    for k in bounds:
+        if k not in problem_cfg:
+            raise CliError(f"custom problem missing field {k!r}")
+        if not _finite(problem_cfg[k]):
+            raise CliError(f"custom problem bounds must be numbers: {k} = {problem_cfg[k]!r}")
+    keys = {k: float(problem_cfg[k]) for k in bounds}
     if not isinstance(problem_cfg["integrand"], str):
         raise CliError(f"integrand must be a string, got {problem_cfg['integrand']!r}")
     try:

@@ -11,8 +11,12 @@ differences in the test suite.
 `family_tables` derives the reference map from the interval (x_a, x_b),
 passed as `domain`. Pade, Leg and Poly are polynomials in t = x / scale,
 scale = max(1, |x_a|, |x_b|), so t lies in [-1, 1] on the interval and is
-x itself on intervals inside [-1, 1]. Leg and Poly are one polynomial
-kernel; Pade is the quotient of two on a shared power table.
+x itself on intervals inside [-1, 1]. Their table holds the basis values p
+and their x-slopes dp side by side, [p | dp] of shape (k, 2N) for k basis
+functions on N points, so a step's values and slopes are one matmul and its
+pullback one more, against the stacked weights [c1; c2]. Leg and Poly are
+one polynomial kernel; Pade is the quotient of two on a shared power table,
+both evaluated by one (2, k) @ (k, 2N) matmul and pulled back by another.
 
 RBF reads one table per grid, T = [1, x~, x~^2, x~^3] at x~ = x - centre,
 the interval's midpoint, and the centres c~ = c - centre.
@@ -203,58 +207,73 @@ def _each_dot(a, c):
     return np.moveaxis(terms, a.ndim - 1, 0)
 
 
+def _each_pair(a, c):
+    """The per-point terms of a @ c on a [p | dp] table, whose columns i and N + i are point i."""
+    terms = _each_dot(a, c)
+    n = terms.shape[0] // 2
+    return terms[:n] + terms[n:]
+
+
 # Each family computes its values on a grid once and returns them with
 # pullback(c1, c2, terms), the parameter gradient of sum(c1 * y + c2 * dy).
-# `terms` = (dot(table, c), total(c)) takes the sum over the grid: _SUM gives
-# the (P,) gradient that `loss_and_grad` reads, and _EACH its (N, P) per-point
-# terms, the dense jet's rows at weights (1, 0) and (0, 1).
-# `tables` is what `family_tables` computed from the grid alone.
-_SUM = (np.matmul, lambda c: c.sum(keepdims=True))
-_EACH = (_each_dot, lambda c: c[:, None])
+# `terms` = (dot(table, c), total(c), pair(table, c)) takes the sum over the
+# grid: _SUM gives the (P,) gradient that `loss_and_grad` reads, and _EACH
+# its (N, P) per-point terms, the dense jet's rows at weights (1, 0) and
+# (0, 1). `pair` is the dot on a [p | dp] table against the stacked weights
+# [c1; c2]. `tables` is what `family_tables` computed from the grid alone.
+_SUM = (np.matmul, lambda c: c.sum(keepdims=True), np.matmul)
+_EACH = (_each_dot, lambda c: c[:, None], _each_pair)
 
 
-def _polynomial(p, dp, theta):
-    """y = theta[:-1] @ p + theta[-1] on basis rows p, whose x-slopes are dp.
+def _polynomial(spec, theta, pd):
+    """Leg and Poly: y = theta[:-1] @ p + theta[-1] on the [p | dp] table of basis functions 1..deg.
 
     Returns y, dy and the pullback of sum(c1 * y + c2 * dy) over theta.
     """
-    w = theta[:-1]
-    y = w @ p + theta[-1]
-    dy = w @ dp
+    n = pd.shape[-1] // 2
+    ydy = theta[:-1] @ pd
+    y = ydy[:n] + theta[-1]
+    dy = ydy[n:]
 
     def pullback(c1, c2, terms=_SUM):
-        dot, total = terms
-        return np.concatenate([dot(p, c1) + dot(dp, c2), total(c1)], axis=-1)
+        _, total, pair = terms
+        return np.concatenate([pair(pd, np.concatenate([c1, c2])), total(c1)], axis=-1)
 
     return y, dy, pullback
 
 
-def _basis(spec, theta, tables):
-    """Leg and Poly: the kernel on their (deg, N) rows for basis functions 1..deg."""
-    return _polynomial(*tables, theta)
-
-
 def _pade(spec, theta, tables):
-    """The quotient of two polynomial kernels on one power table."""
+    """The quotient of two polynomials, both on one [p | dp] power table."""
     m, n = spec.pade_m, spec.pade_n
-    xs, (p, dp) = tables
-    num, dnum, num_pullback = _polynomial(p[:m], dp[:m], theta[: m + 1])
-    den, dden, den_pullback = _polynomial(p[:n], dp[:n], theta[m + 1 :])
+    xs, pd = tables
+    npts = xs.shape[-1]
+    # the numerator's and the denominator's weights as the rows of one matmul
+    w = np.zeros((2, pd.shape[0]))
+    w[0, :m] = theta[:m]
+    w[1, :n] = theta[m + 1 : m + n + 1]
+    both = w @ pd
+    num = both[0, :npts] + theta[m]
+    den = both[1, :npts] + theta[-1]
+    dnum, dden = both[0, npts:], both[1, npts:]
     bad = np.abs(den) < _POLE_FLOOR
     if np.any(bad):
         raise PoleError(float(xs[int(np.argmax(bad))]))
     inv = 1.0 / den
-    inv2 = inv * inv
     y = num * inv
-    dy = dnum * inv - num * dden * inv2
+    z = dden * inv
+    dy = dnum * inv - y * z
 
     def pullback(c1, c2, terms=_SUM):
-        # the quotient rule's weights on the numerator's (y, dy) and the denominator's
-        return np.concatenate([
-            num_pullback(inv * c1 - dden * inv2 * c2, inv * c2, terms),
-            den_pullback(inv2 * ((2.0 * num * dden * inv - dnum) * c2 - num * c1),
-                         -num * inv2 * c2, terms),
-        ], axis=-1)
+        # the quotient rule's weights on [num | dnum] (row 0) and on [den | dden] (row 1)
+        _, total, pair = terms
+        c = np.empty((2, 2, npts))
+        c[0, 1] = inv * c2
+        c[0, 0] = inv * c1 - z * c[0, 1]
+        c[1] = -y * c[0]
+        c[1, 0] -= dy * c[0, 1]
+        g = pair(pd, c.reshape(2, 2 * npts).T)
+        return np.concatenate([g[..., :m, 0], total(c[0, 0]), g[..., :n, 1], total(c[1, 0])],
+                              axis=-1)
 
     return y, dy, pullback
 
@@ -280,7 +299,7 @@ def _rbf(spec, theta, tables):
 
     def pullback(c1, c2, terms=_SUM):
         # raw moments sum(phi x~^k c1), k < 3, and sum(phi x~^k c2), k < 4, in one dot
-        dot, total = terms
+        dot, total, _ = terms
         raw = dot(phi, np.concatenate([t[:3] * c1, t * c2]).T)
         a0, a1, a2, b0, b1, b2, b3 = np.moveaxis(raw, -1, 0)
         # the central moments sum(phi u^k c), u = x~ - c~, by the binomial theorem
@@ -348,7 +367,7 @@ def _mlp(spec, theta, xs):
     return y, dy, lambda c1, c2, terms=_SUM: terms[0](gy, c1) + terms[0](gdy, c2)
 
 
-_FAMILIES = {"Pade": _pade, "Leg": _basis, "Poly": _basis, "RBF": _rbf, "MLP": _mlp}
+_FAMILIES = {"Pade": _pade, "Leg": _polynomial, "Poly": _polynomial, "RBF": _rbf, "MLP": _mlp}
 
 
 def family_tables(spec, xs, domain=(-1.0, 1.0)):
@@ -357,8 +376,9 @@ def family_tables(spec, xs, domain=(-1.0, 1.0)):
     `xs` is one grid (N,) or a block of grids (K, N) inside the interval
     `domain` = (x_a, x_b); every table then has the leading row axis, and
     `table_row(tables, k)` is grid k's share. Pade, Leg and Poly tabulate
-    their bases at t = x / scale, which lies in [-1, 1] on the interval, and
-    their slope tables hold d/dx = (d/dt) / scale. RBF tabulates
+    their bases at t = x / scale, which lies in [-1, 1] on the interval, as
+    one [p | dp] table (..., k, 2N): the values, then the slopes
+    d/dx = (d/dt) / scale, with Pade's grid kept beside it. RBF tabulates
     T = [1, x~, x~^2, x~^3] at x~ = x - centre, the interval's midpoint,
     with `centre` kept as one entry per grid.
     """
@@ -368,13 +388,13 @@ def family_tables(spec, xs, domain=(-1.0, 1.0)):
     with np.errstate(all="ignore"):
         if spec.kind == "Leg":
             p, dp = legendre_table(spec.degree, xs / scale)
-            return p[..., 1:, :], dp[..., 1:, :] / scale
+            return np.concatenate([p[..., 1:, :], dp[..., 1:, :] / scale], axis=-1)
         if spec.kind == "Poly":
             p, dp = _powers(xs / scale, spec.degree)
-            return p, dp / scale
+            return np.concatenate([p, dp / scale], axis=-1)
         if spec.kind == "Pade":
             p, dp = _powers(xs / scale, max(spec.pade_m, spec.pade_n))
-            return xs, (p, dp / scale)
+            return xs, np.concatenate([p, dp / scale], axis=-1)
         if spec.kind == "RBF":
             xt = xs - centre
             x2 = xt * xt

@@ -119,9 +119,9 @@ def loss_and_grad(plan, theta, row=0):
     """Midpoint-rule loss on grid `row` of `plan` and its exact gradient over theta.
 
     `theta` is the flat vector (family params, rho_a, rho_b). The gradient is
-    computed in reverse mode: the loss's weights w * dF/dy and w * dF/ddy are
-    pulled back through the composition and the family, and no (P, N)
-    Jacobian is formed.
+    computed in reverse mode: dF/dy and dF/ddy are pulled back through the
+    composition and the family, the quadrature weight w scales the (P + 2)
+    result, and no (P, N) Jacobian is formed.
     """
     spec = plan.spec
     pf = param_count(spec)
@@ -138,8 +138,9 @@ def loss_and_grad(plan, theta, row=0):
             raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
         f, f_y, f_dy = eval_integrand_many(plan.problem.integrand, points, y, dy, bound=integrand)
         loss = weight * float(f.sum())
-        c1, c2, grad_rho = boundary_pullback(weight * f_y, weight * f_dy)
+        c1, c2, grad_rho = boundary_pullback(f_y, f_dy)
         grad = np.concatenate([family_pullback(c1, c2), grad_rho])
+        grad *= weight
     if not np.isfinite(grad).all():
         raise EvaluationOverflowError(f"non-finite gradient of the composed model for {spec}")
     return loss, grad

@@ -1,9 +1,11 @@
 """Gradient-based minimization of the discretized functional.
 
 Two algorithms: plain gradient descent and Adam with bias correction.
-`train` owns the whole loop: parameter initialization, grid handling,
-loss recording, and failure capture (a Pade pole, a domain violation or an
-overflow mid-run produces a failed report instead of an exception).
+`adam_step` updates its `AdamState` in place. `train` owns the whole loop:
+parameter initialization, grid handling, loss recording, and failure capture
+(a Pade pole, a domain violation or an overflow mid-run produces a failed
+report instead of an exception). A step allocates little: one Adam state
+serves the whole run, and the step-scale blend reuses the update's array.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def train(problem, spec, config=TrainConfig()):
                 new_theta *= step_scale
                 new_theta += theta
                 theta = new_theta
-                theta[pf] = min(max(float(theta[pf]), log_lo), log_hi)
-                theta[pf + 1] = min(max(float(theta[pf + 1]), log_lo), log_hi)
+                for i in (pf, pf + 1):
+                    theta[i] = min(max(float(theta[i]), log_lo), log_hi)
                 steps_done = step + 1
         loss, _ = loss_and_grad(fixed or Plan(problem, spec, midpoint), theta)
         history.append((steps_done, loss))

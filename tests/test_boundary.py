@@ -10,7 +10,9 @@ from varipade import (
     linear_interpolant,
     param_count,
     parse_structure,
+    sample_grid,
 )
+from varipade.boundary import BoundaryTables
 from test_families import ALL_FAMILIES
 
 
@@ -97,6 +99,24 @@ class TestBoundaryFactor:
                 fd_dy = (dyp[0] - dym[0]) / (2 * h)
                 assert gy[k, 0] == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
                 assert gdy[k, 0] == pytest.approx(fd_dy, rel=1e-5, abs=1e-6)
+
+
+    @pytest.mark.parametrize("x_a,x_b", [(0.0, 1.0), (1000.0, 1001.5), (0.0, 1e30)])
+    def test_factor_from_logs_matches_the_powers(self, x_a, x_b):
+        # the factor is exp(m_a log u + m_b log v); check it against u^m_a v^m_b
+        bc = BoundaryCondition(x_a, x_b, 0.0, 0.0)
+        xs = sample_grid(bc, 1000).points
+        u, v = xs - x_a, x_b - xs
+        tables = BoundaryTables(bc, xs)
+        for m_a in (0.5, 1.0, 4.0):
+            for m_b in (0.5, 1.0, 4.0):
+                rho_a, rho_b = np.log(m_a), np.log(m_b)
+                fac, dfac, _ = tables.compose(np.ones_like(xs), np.zeros_like(xs), rho_a, rho_b)
+                ma, mb = np.exp(rho_a), np.exp(rho_b)  # the exponents compose reads
+                expected = u ** ma * v ** mb
+                expected_dx = ma * u ** (ma - 1.0) * v ** mb - mb * u ** ma * v ** (mb - 1.0)
+                assert np.max(np.abs(fac - expected) / np.abs(expected)) <= 1e-12
+                assert np.max(np.abs(dfac - expected_dx) / np.abs(expected_dx)) <= 1e-12
 
 
 class TestLinearInterpolant:

@@ -143,6 +143,10 @@ class TestRun:
         ({"problem": {"integrand": 5, "x_a": 0, "x_b": 1, "y_a": 0, "y_b": 1}}, "integrand must be a string"),
         ({"problem": {"integrand": "dy^2", "x_a": [0], "x_b": 1, "y_a": 0, "y_b": 1}},
          "custom problem bounds must be numbers"),
+        ({"problem": {"integrand": "dy^2", "x_a": "0", "x_b": 1, "y_a": 0, "y_b": 1}},
+         "custom problem bounds must be numbers: x_a = '0'"),
+        ({"problem": {"integrand": "dy^2", "x_a": 0, "x_b": True, "y_a": 0, "y_b": 1}},
+         "custom problem bounds must be numbers: x_b = True"),
         ("not an object", "must be a JSON object"),
         ([1, 2], "must be a JSON object"),
     ])

@@ -38,9 +38,14 @@ class TestParsing:
             "exp(-x) * sin(y)",
             "(x + y)^3",
             "2^-2",
+            " dy ^2 +x*dy ",
+            "sqrt( 1+dy^2 )\t",
         ]:
             expr = parse_integrand(text)
+            assert str(expr) == text
             assert parse_integrand(str(expr)).root == expr.root, text
+        # spacing is kept in the text and ignored by the tree
+        assert parse_integrand(" dy ^2 +x*dy ").root == parse_integrand("dy^2 + x * dy").root
 
     def test_pickle_round_trip_compiles_again(self):
         expr = parse_integrand("dy^2 - 2 * y * cos(x + pi/2)")

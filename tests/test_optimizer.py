@@ -96,6 +96,15 @@ class TestSteps:
         assert state.t == 2
         assert math.isclose(w[0], w2, rel_tol=1e-12)
 
+    def test_adam_updates_its_state_in_place(self):
+        state = AdamState.zeros(2)
+        m, v = state.m, state.v
+        params, grad = np.array([1.0, 2.0]), np.array([0.5, -1.0])
+        same, new = adam_step(state, params, grad, 0.1)
+        assert same is state and state.m is m and state.v is v and state.t == 1
+        assert np.array_equal(m, (1.0 - 0.9) * grad) and np.array_equal(v, (1.0 - 0.999) * grad * grad)
+        assert np.array_equal(params, [1.0, 2.0]) and new is not params
+
     def test_quadratic_convergence(self):
         # minimize (w - 1)^2 elementwise with both algorithms
         w = np.full(4, 6.0)
@@ -271,73 +280,73 @@ BLOCK_PROBLEM = Problem(parse_integrand("(cos(2 * x) + 2 * sin(x)^2) * dy^2 + x 
                         BoundaryCondition(0.0, 1.0, 0.0, 1.0))
 
 # loss_history and final_params of each structure after 50 steps (seed 5,
-# grid_n 200, record_every 10). The random-grid entries were recorded when
-# every step's grid was drawn and bound on its own, the midpoint entries (with
-# precondition=True) when loss_and_grad took the exponents apart from theta
+# grid_n 200, record_every 10). Recorded when the boundary factor came to be
+# computed from its log tables and Pade, Leg and Poly from one [p | dp] table,
+# which moved the earlier values by rounding only (at most 2e-12 relative)
 GRID_TRAINING = {
     ("Pade-[2/2]", "random"): (
         [(0, 1.3485891280106277), (10, 1.2955999006622347), (20, 1.327595732476313),
          (30, 1.346931526095401), (40, 1.3847894469321107), (50, 1.3281142208938592)],
-        [-0.041192146825018185, -0.09145897354887873, -0.05864352931390288, 0.0640730566606776,
-         0.03313936207686403, 1.0569578094502305, -0.03753356099642458, 0.03754164891296269],
+        [-0.041192146825018164, -0.09145897354887883, -0.05864352931390299, 0.06407305666067738,
+         0.03313936207686413, 1.0569578094502308, -0.03753356099642438, 0.037541648912963015],
     ),
     ("RBF-[3]", "random"): (
         [(0, 1.3574032996196272), (10, 1.306312168886617), (20, 1.3370960043900193),
-         (30, 1.3412926791228756), (40, 1.380347101908661), (50, 1.327940887062763)],
-        [-0.015145136372418294, -0.10571172702471038, -0.05025838048577724, 0.1385943704248506,
-         0.6719180528657447, 1.033068742378057, -0.9917703554046805, -0.9055701614263223,
-         -1.254563129082803, 0.037242938027246764, 0.08099408678998268, -0.09524522521707822],
+         (30, 1.3412926791228756), (40, 1.3803471019086606), (50, 1.327940887062763)],
+        [-0.015145136372418303, -0.10571172702471042, -0.0502583804857772, 0.13859437042485068,
+         0.6719180528657447, 1.033068742378057, -0.9917703554046805, -0.9055701614263215,
+         -1.254563129082802, 0.037242938027246805, 0.08099408678998253, -0.09524522521707827],
     ),
     ("MLP-[[3,tanh]]", "random"): (
         [(0, 1.3474023357614044), (10, 1.2975939607704887), (20, 1.3311807191907437),
-         (30, 1.3430544282809516), (40, 1.386654128699729), (50, 1.3277372266830987)],
-        [-0.13508539612409762, -0.13066368386739882, 0.02196654029456317, 0.04706383607739699,
-         0.11663144368820487, 0.042188335773560195, -0.11897879239086502, -0.09840718903062895,
-         0.04902928102753711, -0.11435953331576311],
+         (30, 1.3430544282809513), (40, 1.3866541286997287), (50, 1.3277372266830987)],
+        [-0.1350853961240978, -0.13066368386739885, 0.021966540294563366, 0.04706383607739708,
+         0.11663144368820443, 0.04218833577356023, -0.11897879239086515, -0.0984071890306289,
+         0.04902928102753696, -0.11435953331576325],
     ),
     ("Leg-4", "random"): (
         [(0, 1.3578913514798496), (10, 1.3031483754227697), (20, 1.3280081107818729),
          (30, 1.3477337590944671), (40, 1.3892687146762948), (50, 1.327885713345238)],
-        [-0.16382361720144634, 0.024706128425596656, 0.03171057555032692, -0.06119589437883775,
-         -0.05259073814383341, 0.10471580800489265, 0.03138151236306967],
+        [-0.16382361720144645, 0.0247061284255967, 0.031710575550326914, -0.06119589437883779,
+         -0.052590738143833346, 0.1047158080048926, 0.0313815123630697],
     ),
     ("Poly-3", "random"): (
         [(0, 1.3480075032531553), (10, 1.2946969533593649), (20, 1.3252798261044252),
          (30, 1.3485473466583517), (40, 1.3858960622540661), (50, 1.3280697488515645)],
-        [-0.046261812991606345, -0.07533214981968393, 0.00791230977797135, -0.060182307448442954,
-         0.004345264726809394, 0.06601083874268346],
+        [-0.046261812991606546, -0.07533214981968393, 0.007912309777971461, -0.060182307448442975,
+         0.004345264726809771, 0.06601083874268339],
     ),
     ("Pade-[2/2]", "midpoint"): (
-        [(0, 1.3288101047798235), (10, 1.3279435636166925), (20, 1.3278013807583762),
-         (30, 1.3277815504768204), (40, 1.3277509739453135), (50, 1.327714245687475)],
-        [-0.05555295505476348, -0.025551490615453528, -0.108432412577669, 0.10363603534151732,
-         0.12642325568266857, 1.0827755985990317, 0.06308068136694828, -0.07406694244777322],
+        [(0, 1.3288101047798235), (10, 1.3279435636166925), (20, 1.3278013807583764),
+         (30, 1.327781550476821), (40, 1.3277509739453135), (50, 1.3277142456874753)],
+        [-0.05555295505476361, -0.025551490615454336, -0.10843241257766863, 0.10363603534151695,
+         0.12642325568267027, 1.082775598599032, 0.06308068136694968, -0.07406694244777202],
     ),
     ("RBF-[3]", "midpoint"): (
-        [(0, 1.3294875749838229), (10, 1.3279364450637965), (20, 1.3278267272232858),
+        [(0, 1.3294875749838229), (10, 1.3279364450637967), (20, 1.3278267272232858),
          (30, 1.3276159834497763), (40, 1.327505612527367), (50, 1.3273383227507367)],
-        [-0.03670587931066564, -0.08054784510150649, -0.014449328609027, 0.15484235987512157,
-         0.5789931007055538, 0.9827102173795133, -0.9523046083981502, -0.7373241815575123,
-         -1.076513807538675, 0.014229006277163236, 0.0351415754606106, -0.35149019243873275],
+        [-0.03670587931066549, -0.08054784510150624, -0.014449328609027083, 0.1548423598751223,
+         0.5789931007055537, 0.9827102173795134, -0.9523046083981501, -0.7373241815575121,
+         -1.0765138075386738, 0.014229006277163125, 0.03514157546061017, -0.35149019243873303],
     ),
     ("MLP-[[3,tanh]]", "midpoint"): (
         [(0, 1.3287205674565905), (10, 1.3277731872594731), (20, 1.3277094271506342),
-         (30, 1.3276736299564755), (40, 1.327647780606869), (50, 1.3276147721658944)],
-        [-0.10221319503476027, -0.11165731983073408, -0.044225549075161186, 0.03405493158093747,
-         0.05453761938416861, -0.007466524777131276, -0.12747790037519224, -0.11131455719323097,
-         0.09175374785910503, -0.20161575221024564],
+         (30, 1.327673629956475), (40, 1.327647780606869), (50, 1.3276147721658946)],
+        [-0.10221319503475874, -0.11165731983073438, -0.044225549075160284, 0.034054931580937,
+         0.05453761938416706, -0.007466524777131934, -0.12747790037519138, -0.11131455719323108,
+         0.0917537478591055, -0.20161575221024547],
     ),
     ("Leg-4", "midpoint"): (
         [(0, 1.3449277534780484), (10, 1.329341950492734), (20, 1.3281347864128616),
-         (30, 1.3282891351888357), (40, 1.3279803222967874), (50, 1.3279754411286635)],
-        [-0.2187440712289171, 0.0001486901289499934, 0.07080899435838221, -0.07613476585671428,
-         -0.035894330121828584, 0.1900107383527512, 0.1192721324041743],
+         (30, 1.3282891351888357), (40, 1.3279803222967874), (50, 1.3279754411286633)],
+        [-0.2187440712289169, 0.00014869012895024733, 0.07080899435838235, -0.07613476585671408,
+         -0.035894330121828445, 0.19001073835275106, 0.1192721324041734],
     ),
     ("Poly-3", "midpoint"): (
         [(0, 1.3313255808827282), (10, 1.3279302543524518), (20, 1.3280757702943793),
-         (30, 1.3278344869028715), (40, 1.3277543094783297), (50, 1.3276779143056112)],
-        [-0.1169563399528767, 0.07166544400920202, 0.008280923052082107, -0.08080611649960617,
-         -0.004808763807124722, -0.13224345177187316],
+         (30, 1.327834486902871), (40, 1.3277543094783297), (50, 1.3276779143056112)],
+        [-0.11695633995287703, 0.07166544400920286, 0.008280923052083004, -0.08080611649960583,
+         -0.004808763807124101, -0.13224345177187374],
     ),
 }
 
@@ -368,10 +377,10 @@ def test_a_failing_grid_fails_at_its_own_step():
     assert report.failure_reason == "sqrt of negative value near x = 0.0016093294323541452"
     assert report.failure_step == 18 and report.steps_done == 18
     assert report.loss_history == [(0, 0.5653958062591761), (5, 0.34453154993686813),
-                                   (10, 1.6010920710050047), (15, 2.470932418451748)]
+                                   (10, 1.6010920710050047), (15, 2.470932418451749)]
     assert report.final_params.tolist() == [
-        -0.023639863833392772, -0.12266646650950656, -0.07050304015297484,
-        -0.22370004874831056, 0.11821368257029864, -0.08109316625924996,
+        -0.023639863833392755, -0.12266646650950654, -0.07050304015297483,
+        -0.22370004874831048, 0.11821368257029864, -0.08109316625924996,
     ]
 
 

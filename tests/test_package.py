@@ -43,6 +43,32 @@ def test_benchmark_smoke_run_passes():
     assert done.stdout.splitlines()[-1] == "smoke: ok"
 
 
+@pytest.mark.parametrize("structure", ["Pade-[2/2]", "RBF-[3]", "Leg-4", "Poly-3", "MLP-[[3,tanh]]"])
+def test_every_step_goes_through_the_traced_names(structure, monkeypatch):
+    # perfbench/tracing.py times a step by wrapping these names where the
+    # library looks them up; a step that bypassed one would empty its span
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(varipade.optimize, "adam_step")
+    counted(varipade.optimize, "loss_and_grad")
+    counted(varipade.loss, "eval_integrand_many")
+    steps = 7
+    case = varipade.case_by_name("sine-source")
+    config = varipade.TrainConfig(steps=steps, grid_n=50, precondition=True)
+    report = varipade.train(case.problem, varipade.parse_structure(structure), config)
+    assert report.status == "max_steps"
+    assert calls == {"adam_step": steps, "loss_and_grad": steps + 1, "eval_integrand_many": steps + 1}
+
+
 @pytest.mark.parametrize("demo", ["shortest_path.py", "custom_problem.py"])
 def test_demo_runs(demo):
     # each demo ends in an assert on its answer; family_comparison.py is left out,
