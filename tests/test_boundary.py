@@ -100,7 +100,6 @@ class TestBoundaryFactor:
                 assert gy[k, 0] == pytest.approx(fd_y, rel=1e-5, abs=1e-7)
                 assert gdy[k, 0] == pytest.approx(fd_dy, rel=1e-5, abs=1e-6)
 
-
     @pytest.mark.parametrize("x_a,x_b", [(0.0, 1.0), (1000.0, 1001.5), (0.0, 1e30)])
     def test_factor_from_logs_matches_the_powers(self, x_a, x_b):
         # the factor is exp(m_a log u + m_b log v); check it against u^m_a v^m_b
