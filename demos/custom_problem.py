@@ -15,7 +15,7 @@ from varipade import (
     BoundaryCondition,
     Problem,
     TrainConfig,
-    compose_final_many,
+    evaluate,
     parse_integrand,
     parse_structure,
     train,
@@ -39,10 +39,7 @@ print(f"trained {spec}: J = {report.j_final:.10f} "
       f"(gap {report.j_final - j_exact:+.2e})")
 
 xs = np.linspace(0.1, 0.9, 5)
-y, _, _, _ = compose_final_many(
-    spec, report.family_params, report.final_params[-2], report.final_params[-1],
-    problem.bc, xs,
-)
+y, _ = evaluate(spec, report.final_params, problem.bc, xs)
 exact = np.sinh(xs) / math.sinh(1.0)
 print("x, trained y, sinh(x)/sinh(1):")
 for x, a, b in zip(xs, y, exact):

@@ -10,7 +10,7 @@ Run:  python3 demos/shortest_path.py
 
 import numpy as np
 
-from varipade import TrainConfig, case_by_name, parse_structure, relative_error, train
+from varipade import TrainConfig, case_by_name, evaluate, parse_structure, relative_error, train
 
 case = case_by_name("shortest-path")
 spec = parse_structure("Pade-[5/5]")
@@ -31,13 +31,8 @@ m_a, m_b = report.exponents
 print(f"boundary exponents m_a = {m_a:.4f}, m_b = {m_b:.4f}")
 
 # compare the trained curve to the exact line on a few points
-from varipade import compose_final_many
-
 xs = np.linspace(-0.9, 0.9, 7)
-y, _, _, _ = compose_final_many(
-    spec, report.family_params, report.final_params[-2], report.final_params[-1],
-    case.problem.bc, xs,
-)
+y, _ = evaluate(spec, report.final_params, case.problem.bc, xs)
 y_exact, _ = case.exact_solution(xs)
 print("x, trained y, exact y:")
 for x, a, b in zip(xs, y, y_exact):

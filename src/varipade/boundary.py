@@ -16,10 +16,10 @@ computed once per grid: the logs and reciprocals of u = x - x_a and
 v = x_b - x. The factor is exp(m_a log u + m_b log v), one exp per step
 instead of two powers, and its x-derivative is the factor times
 m_a / u - m_b / v. `compose_final_many` is the jet of the
-composition, with dense gradient rows, kept for evaluation, the step
-preconditioner and as the test oracle: its rows are the per-point terms of
-that same pullback, so the chain rule is written once. It hands the family
-the interval (x_a, x_b), from which the family derives its reference map.
+composition, with dense gradient rows, kept for the step preconditioner
+and as the test oracle: its rows are the per-point terms of that same
+pullback, so the chain rule is written once. It hands the family the
+interval (x_a, x_b), from which the family derives its reference map.
 """
 
 from __future__ import annotations

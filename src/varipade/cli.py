@@ -31,16 +31,6 @@ class CliError(Exception):
     pass
 
 
-def _default_seed():
-    env = os.environ.get("VARIPADE_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise CliError(f"VARIPADE_SEED must be an integer, got {env!r}")
-
-
 def _fmt(value):
     return "" if value is None else repr(float(value))
 
@@ -131,17 +121,8 @@ def _load_run_config(args):
             "integrand": args.integrand,
             "x_a": args.xa, "x_b": args.xb, "y_a": args.ya, "y_b": args.yb,
         }
-    train_cfg = {
-        "algorithm": args.algorithm,
-        "learning_rate": args.lr,
-        "steps": args.steps,
-        "grid_n": args.samples,
-        "grid_mode": args.grid_mode,
-        "seed": args.seed if args.seed is not None else _default_seed(),
-        "record_every": args.record_every,
-        "train_exponents": not args.freeze_exponents,
-        "precondition": args.precondition,
-    }
+    train_cfg = {**_train_flags(args), "train_exponents": not args.freeze_exponents,
+                 "precondition": args.precondition}
     return {
         "problem": problem,
         "structure": args.structure,
@@ -225,16 +206,7 @@ def cmd_bench(args):
                 parse_structure(s)
             except VaripadeError as exc:
                 raise CliError(str(exc))
-    config = _train_config_from_dict({
-        "algorithm": args.algorithm,
-        "learning_rate": args.lr,
-        "steps": args.steps,
-        "grid_n": args.samples,
-        "grid_mode": args.grid_mode,
-        "seed": args.seed if args.seed is not None else _default_seed(),
-        "record_every": args.record_every,
-        "precondition": not args.no_precondition,
-    })
+    config = _train_config_from_dict({**_train_flags(args), "precondition": not args.no_precondition})
     os.makedirs(args.out, exist_ok=True)
     matrix = run_matrix(cases, structures, config, n_seeds=args.seeds, parallel=args.parallel)
     any_failed = False
@@ -298,11 +270,13 @@ def cmd_plot(args):
     if not rows:
         raise CliError("CSV has no data rows")
     try:
-        dropped = write_curves_svg(series, args.out_svg, logy=args.logy)
+        nonfinite, nonpositive = write_curves_svg(series, args.out_svg, logy=args.logy)
     except ValueError as exc:
         raise CliError(str(exc))
-    if dropped:
-        print(f"warning: dropped {dropped} nonpositive loss values on log axis", file=sys.stderr)
+    if nonfinite:
+        print(f"warning: dropped {nonfinite} non-finite loss values", file=sys.stderr)
+    if nonpositive:
+        print(f"warning: dropped {nonpositive} nonpositive loss values on log axis", file=sys.stderr)
     print(f"wrote {args.out_svg}")
     return 0
 
@@ -320,6 +294,26 @@ def _add_train_flags(parser, steps_default=20000):
     parser.add_argument("--seed", type=int, default=None,
                         help="default: $VARIPADE_SEED or 0")
     parser.add_argument("--record-every", type=int, default=50)
+
+
+def _train_flags(args):
+    """The TrainConfig fields set by the flags of _add_train_flags."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("VARIPADE_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise CliError(f"VARIPADE_SEED must be an integer, got {env!r}")
+    return {
+        "algorithm": args.algorithm,
+        "learning_rate": args.lr,
+        "steps": args.steps,
+        "grid_n": args.samples,
+        "grid_mode": args.grid_mode,
+        "seed": seed,
+        "record_every": args.record_every,
+    }
 
 
 def build_parser():

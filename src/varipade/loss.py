@@ -18,17 +18,17 @@ consecutive steps, at most 8192 points to a block (about 1-2 MB of tables
 for the paper's structures), and step s still draws its grid from
 default_rng(seed * 1_000_003 + s).
 
-`compose_final_many` is the jet, with dense (P, N) gradient rows, the
-per-point terms of the pullbacks that training contracts; it is kept for
-evaluating a trained model, for the step preconditioner and as the
-reference the tests check the gradient against.
+`evaluate` reads a trained model back as y and y' by a training step's
+forward. `compose_final_many` is the jet, with dense (P, N) gradient rows,
+the per-point terms of the pullbacks that training contracts; it is kept
+for those rows, read by the step preconditioner and the gradient tests.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class Problem:
     integrand: IntegrandExpr
     bc: BoundaryCondition
     name: str = ""
-    exact: Optional[Callable] = None  # x array -> (value, derivative)
-    j_exact: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -115,6 +113,20 @@ class Plan:
         )
 
 
+def _forward(spec, theta, boundary, family):
+    """y, dy of the composed model on one grid's tables, and the family's and the composition's
+    pullbacks. Rejects a theta without P + 2 entries and reports a non-finite value itself."""
+    pf = param_count(spec)
+    if np.shape(theta) != (pf + 2,):
+        raise ValueError(f"theta of shape {np.shape(theta)} for {spec}, "
+                         f"which needs {pf + 2} entries")
+    fy, fdy, family_pullback = family_forward(spec, theta, family)
+    y, dy, boundary_pullback = boundary.compose(fy, fdy, theta[pf], theta[pf + 1])
+    if not (np.isfinite(y).all() and np.isfinite(dy).all()):
+        raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
+    return y, dy, family_pullback, boundary_pullback
+
+
 def loss_and_grad(plan, theta, row=0):
     """Midpoint-rule loss on grid `row` of `plan` and its exact gradient over theta.
 
@@ -123,27 +135,30 @@ def loss_and_grad(plan, theta, row=0):
     composition and the family, the quadrature weight w scales the (P + 2)
     result, and no (P, N) Jacobian is formed.
     """
-    spec = plan.spec
-    pf = param_count(spec)
-    if np.shape(theta) != (pf + 2,):
-        raise ValueError(f"theta of shape {np.shape(theta)} for {spec}, "
-                         f"which needs {pf + 2} entries")
     points, boundary, family, integrand = plan.rows[row]
     weight = plan.weight
     # an overflow or a NaN is reported by the finiteness checks
     with np.errstate(all="ignore"):
-        fy, fdy, family_pullback = family_forward(spec, theta, family)
-        y, dy, boundary_pullback = boundary.compose(fy, fdy, theta[pf], theta[pf + 1])
-        if not (np.isfinite(y).all() and np.isfinite(dy).all()):
-            raise EvaluationOverflowError(f"non-finite value in composed model for {spec}")
+        y, dy, family_pullback, boundary_pullback = _forward(plan.spec, theta, boundary, family)
         f, f_y, f_dy = eval_integrand_many(plan.problem.integrand, points, y, dy, bound=integrand)
         loss = weight * float(f.sum())
         c1, c2, grad_rho = boundary_pullback(f_y, f_dy)
         grad = np.concatenate([family_pullback(c1, c2), grad_rho])
         grad *= weight
     if not np.isfinite(grad).all():
-        raise EvaluationOverflowError(f"non-finite gradient of the composed model for {spec}")
+        raise EvaluationOverflowError(f"non-finite gradient of the composed model for {plan.spec}")
     return loss, grad
+
+
+def evaluate(spec, theta, bc, xs):
+    """y and dy of the model at points xs inside (x_a, x_b), a training step's forward bit for bit,
+    for the flat theta (family params, rho_a, rho_b) of `TrainReport.final_params`."""
+    xs = np.asarray(xs, dtype=float)
+    boundary = BoundaryTables(bc, xs)
+    family = family_tables(spec, xs, (bc.x_a, bc.x_b))
+    with np.errstate(all="ignore"):
+        y, dy, _, _ = _forward(spec, theta, boundary, family)
+    return y, dy
 
 
 def functional_value(problem, y, n):

@@ -92,10 +92,6 @@ class TrainReport:
         """The boundary exponents (m_a, m_b) = (exp(rho_a), exp(rho_b))."""
         return float(np.exp(self.final_params[-2])), float(np.exp(self.final_params[-1]))
 
-    @property
-    def family_params(self):
-        return self.final_params[:-2]
-
 
 def sgd_step(params, grad, lr):
     """One descent step w_new = w_old - lr * grad."""

@@ -14,8 +14,6 @@ _ML, _MR, _MT, _MB = 70, 180, 30, 50  # margins; right one holds the legend
 
 
 def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / count))
     for mult in (1, 2, 5, 10):
@@ -34,16 +32,20 @@ def _ticks(lo, hi, count=5):
 def write_curves_svg(series, path, logy=False, ylabel="loss"):
     """Write one polyline per entry of `series` (label -> [(step, value)]).
 
-    With logy, nonpositive values are dropped; returns the number dropped.
+    Points with a non-finite step or value are dropped, and with logy so are
+    nonpositive values; returns the counts dropped, (non-finite, nonpositive).
     """
-    dropped = 0
+    nonfinite = nonpositive = 0
     cleaned = {}
     for label, points in series.items():
         pts = []
         for s, v in points:
+            if not (math.isfinite(s) and math.isfinite(v)):
+                nonfinite += 1
+                continue
             if logy:
                 if v <= 0:
-                    dropped += 1
+                    nonpositive += 1
                     continue
                 v = math.log10(v)
             pts.append((float(s), float(v)))
@@ -108,7 +110,7 @@ def write_curves_svg(series, path, logy=False, ylabel="loss"):
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
-    return dropped
+    return nonfinite, nonpositive
 
 
 def _esc(text):

@@ -19,7 +19,7 @@ from varipade import (
     Plan,
     TrainConfig,
     builtin_cases,
-    compose_final_many,
+    evaluate,
     functional_value,
     init_params,
     loss_and_grad,
@@ -143,11 +143,9 @@ def test_criterion_6_boundary_conditions_exact():
         bc = BoundaryCondition(x_a, x_b, float(rng.normal(0, 2)), float(rng.normal(0, 2)))
         theta = init_params(spec, int(rng.integers(1 << 30)), domain=(x_a, x_b))
         theta = theta + rng.normal(0, 0.5, theta.shape)
-        rho_a, rho_b = rng.uniform(0.0, 1.0, 2)
+        rho = rng.uniform(0.0, 1.0, 2)
         eps = 1e-12 * (x_b - x_a)
-        y, _, _, _ = compose_final_many(
-            spec, theta, rho_a, rho_b, bc, np.array([x_a + eps, x_b - eps])
-        )
+        y, _ = evaluate(spec, np.concatenate([theta, rho]), bc, np.array([x_a + eps, x_b - eps]))
         worst = max(worst, abs(y[0] - bc.y_a), abs(y[1] - bc.y_b))
     assert worst <= 1e-9, f"worst endpoint mismatch {worst:.2e}"
     print(f"criterion 6: 1000 random models, worst endpoint mismatch "

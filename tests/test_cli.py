@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -273,6 +274,31 @@ class TestPlot:
             writer.writerows([[0, "2.0", ""], [50, "-1.0", ""], [100, "0.5", ""]])
         assert main(["plot", str(src), str(tmp_path / "x.svg"), "--logy"]) == 0
         assert "dropped 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("losses", [["1.0", "nan", "0.5"], ["2.0", "inf", "0.5"]],
+                             ids=["nan-in-the-middle", "inf"])
+    def test_non_finite_losses_are_dropped(self, tmp_path, capsys, losses):
+        src = tmp_path / "loss.csv"
+        with open(src, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "loss", "j_gap"])
+            writer.writerows([[50 * i, loss, ""] for i, loss in enumerate(losses)])
+        dst = tmp_path / "loss.svg"
+        assert main(["plot", str(src), str(dst)]) == 0
+        assert "dropped 1 non-finite loss values" in capsys.readouterr().err
+        svg = dst.read_text()
+        assert svg.count("<polyline") == 1
+        points = svg.split('<polyline points="')[1].split('"')[0].replace(",", " ").split()
+        assert len(points) == 4 and all(math.isfinite(float(p)) for p in points)
+
+    def test_all_nan_losses_leave_nothing_to_plot(self, tmp_path, capsys):
+        # the loss.csv of a run that failed at step 0
+        src = tmp_path / "loss.csv"
+        src.write_text("step,loss,j_gap\n0,nan,\n")
+        dst = tmp_path / "loss.svg"
+        assert main(["plot", str(src), str(dst)]) == 1
+        assert "no plottable points" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "none.csv"), str(tmp_path / "x.svg")]) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from varipade import (
     BoundaryCondition,
     DomainError,
+    EvaluationOverflowError,
     Plan,
+    PoleError,
     Problem,
     SampleGrid,
     builtin_cases,
     compose_final_many,
     eval_integrand_many,
+    evaluate,
     functional_value,
     init_params,
     loss_and_grad,
@@ -234,6 +238,59 @@ class TestReverseModeAgainstForwardJet:
         plan = Plan(case.problem, spec, sample_grid(case.problem.bc, 50))
         with pytest.raises(ValueError, match="needs 18 entries"):
             loss_and_grad(plan, np.zeros(param_count(spec) + extra))
+
+
+EVALUATED = ["Pade-[5/5]", "Pade-[8/10]", "RBF-[16]", "MLP-[[16,sigmoid]]",
+             "MLP-[[8,tanh],[8,tanh]]", "Leg-15", "Poly-10"]
+
+
+class TestEvaluate:
+    """evaluate: the values of compose_final_many's jet, bit for bit, and its errors."""
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (-math.pi / 2, math.pi / 2), (1000.0, 1001.5),
+                                          (5.0, 6.0)], ids=["unit", "symmetric", "off-unit", "five"])
+    @pytest.mark.parametrize("structure", EVALUATED)
+    def test_values_match_the_jet(self, structure, interval, rng):
+        bc = BoundaryCondition(*interval, 0.3, -0.2)
+        spec = parse_structure(structure)
+        pf = param_count(spec)
+        xs = np.sort(rng.uniform(*interval, 2001))
+        for _ in range(3):
+            theta = init_params(spec, int(rng.integers(1 << 30)), domain=interval)
+            theta = np.concatenate([theta + rng.normal(0, 0.05, pf), rng.uniform(-0.4, 0.8, 2)])
+            y, dy = evaluate(spec, theta, bc, xs)
+            jet_y, jet_dy, _, _ = compose_final_many(spec, theta[:pf], theta[pf], theta[pf + 1], bc, xs)
+            assert np.array_equal(y, jet_y) and np.array_equal(dy, jet_dy)
+
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_theta_of_another_length_is_rejected(self, extra):
+        spec = parse_structure("Leg-15")
+        with pytest.raises(ValueError, match="needs 18 entries"):
+            evaluate(spec, np.zeros(param_count(spec) + extra), builtin_cases()[3].problem.bc,
+                     np.array([0.5]))
+
+    def test_a_point_outside_is_rejected(self):
+        spec = parse_structure("Leg-3")
+        with pytest.raises(DomainError, match="x = 1.0 outside") as exc:
+            evaluate(spec, np.zeros(6), BoundaryCondition(0.0, 1.0, 0.0, 1.0), np.array([0.5, 1.0]))
+        assert exc.value.x == 1.0
+
+    def test_a_pole_is_reported(self):
+        spec = parse_structure("Pade-[1/1]")
+        theta = np.array([1.0, 0.0, 4.0, -1.0, 0.0, 0.0])  # denominator 4x - 1
+        with pytest.raises(PoleError) as exc:
+            evaluate(spec, theta, BoundaryCondition(-1.0, 1.0, 0.0, 0.0), np.array([-0.5, 0.25, 0.75]))
+        assert exc.value.x == 0.25
+
+    def test_an_overflow_is_reported_without_a_numpy_warning(self):
+        # the boundary factor overflows on this interval
+        spec = parse_structure("Poly-15")
+        bc = BoundaryCondition(0.0, 1e200, 0.0, 1.0)
+        theta = np.concatenate([init_params(spec, 0), [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EvaluationOverflowError, match="^non-finite value in composed model for Poly-15$"):
+                evaluate(spec, theta, bc, sample_grid(bc, 100).points)
 
 
 def _leaves(tables):

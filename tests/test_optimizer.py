@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +9,21 @@ from varipade import (
     AdamState,
     BoundaryCondition,
     EvaluationOverflowError,
+    Plan,
     Problem,
     TrainConfig,
     TrainReport,
     adam_step,
     builtin_cases,
     case_by_name,
-    compose_final_many,
+    evaluate,
     family_jet_many,
     functional_value,
+    init_params,
+    loss_and_grad,
     parse_integrand,
     parse_structure,
+    sample_grid,
     sgd_step,
     train,
 )
@@ -147,6 +152,24 @@ class TestTrain:
         assert report.status == "max_steps"
         assert [s for s, _ in report.loss_history] == [0]
         assert report.j_final == report.loss_history[0][1]
+
+    def test_sgd_steps_by_the_plain_gradient(self):
+        # one step is theta0 - lr * grad, through the step-scale blend and the clamp
+        case = case_by_name("sine-source")
+        spec = parse_structure("Poly-3")
+        bc = case.problem.bc
+        config = TrainConfig(algorithm="sgd", learning_rate=0.05, steps=1, grid_n=50, seed=3)
+        theta0 = np.concatenate([init_params(spec, 3, domain=(bc.x_a, bc.x_b)), [0.0, 0.0]])
+        _, grad = loss_and_grad(Plan(case.problem, spec, sample_grid(bc, 50)), theta0)
+        report = train(case.problem, spec, config)
+        assert np.array_equal(report.final_params, theta0 - 0.05 * grad)
+        # 200 steps descend toward J = cot 1 - 2/3
+        report = train(case.problem, spec, replace(config, steps=200, record_every=10))
+        assert report.status == "max_steps"
+        losses = [loss for _, loss in report.loss_history]
+        assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+        j = 1.0 / math.tan(1.0) - 2.0 / 3.0
+        assert abs(losses[-1] - j) < 0.01 * (losses[0] - j)
 
     def test_deterministic_given_seed(self):
         case = builtin_cases()[2]
@@ -386,13 +409,8 @@ def test_a_failing_grid_fails_at_its_own_step():
 
 def _refined_error(case, spec, report):
     """Relative error of J for the trained model, re-integrated on 2N+1 midpoints."""
-    theta = report.final_params
-    pf = theta.shape[0] - 2
-
-    def model(xs):
-        return compose_final_many(spec, theta[:pf], theta[pf], theta[pf + 1], case.problem.bc, xs)[:2]
-
-    j = functional_value(case.problem, model, 2 * 1000 + 1)
+    bc = case.problem.bc
+    j = functional_value(case.problem, lambda xs: evaluate(spec, report.final_params, bc, xs), 2 * 1000 + 1)
     return abs(j - case.j_exact_analytic) / abs(case.j_exact_analytic)
 
 

@@ -20,7 +20,7 @@ PUBLIC = """
     InvalidStructureError MatrixReport MatrixRow Plan PoleError Problem SampleGrid
     StructureSyntaxError TrainConfig TrainReport UnknownIdentifierError VaripadeError
     adam_step boundary_factor_many builtin_cases builtin_names case_by_name
-    compose_final_many eval_integrand_many family_jet_many functional_value init_params
+    compose_final_many eval_integrand_many evaluate family_jet_many functional_value init_params
     legendre_table linear_interpolant loss_and_grad param_count parse_integrand
     parse_structure relative_error run_matrix sample_grid sgd_step train
 """.split()
