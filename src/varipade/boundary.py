@@ -24,13 +24,11 @@ interval (x_a, x_b), from which the family derives its reference map.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, EvaluationOverflowError
+from .errors import DomainError, EvaluationOverflowError, check_finite
 from .families import _EACH, _SUM, family_jet_many, unit_weights
 
 
@@ -43,15 +41,9 @@ class BoundaryCondition:
 
     def __post_init__(self):
         for name in ("x_a", "x_b", "y_a", "y_b"):
-            if not _finite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+            check_finite(name, getattr(self, name))
         if not self.x_b - self.x_a > 0:
             raise ValueError(f"need x_a < x_b, got [{self.x_a}, {self.x_b}]")
-
-
-def _finite(value):
-    """A finite real number, and not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _check_inside(bc, xs):

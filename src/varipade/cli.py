@@ -11,8 +11,8 @@ import json
 import os
 import sys
 
-from .boundary import BoundaryCondition, _finite
-from .errors import VaripadeError
+from .boundary import BoundaryCondition
+from .errors import VaripadeError, check_finite
 from .expressions import parse_integrand
 from .families import param_count, parse_structure
 from .loss import Problem
@@ -35,6 +35,13 @@ def _fmt(value):
     return "" if value is None else repr(float(value))
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -55,17 +62,14 @@ def _problem_from_config(problem_cfg):
             )
         return case.problem, case.j_exact_analytic, {"builtin": name}
     bounds = ("x_a", "x_b", "y_a", "y_b")
-    for k in bounds:
-        if k not in problem_cfg:
-            raise CliError(f"custom problem missing field {k!r}")
-        if not _finite(problem_cfg[k]):
-            raise CliError(f"custom problem bounds must be numbers: {k} = {problem_cfg[k]!r}")
-    keys = {k: float(problem_cfg[k]) for k in bounds}
-    if not isinstance(problem_cfg["integrand"], str):
-        raise CliError(f"integrand must be a string, got {problem_cfg['integrand']!r}")
     try:
+        for k in bounds:
+            if k not in problem_cfg:
+                raise CliError(f"custom problem missing field {k!r}")
+            check_finite(k, problem_cfg[k])
+        keys = {k: float(problem_cfg[k]) for k in bounds}
         integrand = parse_integrand(problem_cfg["integrand"])
-        bc = BoundaryCondition(keys["x_a"], keys["x_b"], keys["y_a"], keys["y_b"])
+        bc = BoundaryCondition(**keys)
     except (VaripadeError, ValueError) as exc:
         raise CliError(str(exc))
     problem = Problem(integrand=integrand, bc=bc, name="custom")
@@ -131,15 +135,6 @@ def _load_run_config(args):
     }
 
 
-def _write_loss_csv(path, history, j_exact):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "j_gap"])
-        for step, loss in history:
-            gap = "" if j_exact is None else repr(loss - j_exact)
-            writer.writerow([step, repr(loss), gap])
-
-
 def cmd_run(args):
     cfg = _load_run_config(args)
     problem, j_exact, problem_echo = _problem_from_config(cfg["problem"])
@@ -151,7 +146,9 @@ def cmd_run(args):
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     report = train(problem, spec, config)
-    _write_loss_csv(os.path.join(out_dir, "loss.csv"), report.loss_history, j_exact)
+    _write_csv(os.path.join(out_dir, "loss.csv"), ["step", "loss", "j_gap"],
+               ([step, repr(loss), "" if j_exact is None else repr(loss - j_exact)]
+                for step, loss in report.loss_history))
     rel = None
     if j_exact is not None and report.status != "failed":
         rel = relative_error(j_exact, report.j_final)
@@ -212,24 +209,14 @@ def cmd_bench(args):
     any_failed = False
     for case in cases:
         rows = matrix.rows_for_case(case.index)
-        table_path = os.path.join(args.out, f"table{case.index}.csv")
-        with open(table_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["structure", "n_params", "j_final", "j_exact", "relative_error", "status"])
-            for row in rows:
-                writer.writerow([
-                    row.structure, row.n_params, _fmt(row.j_final),
-                    _fmt(row.j_exact), _fmt(row.rel_error), row.status,
-                ])
-        curves_path = os.path.join(args.out, f"curves{case.index}.csv")
-        with open(curves_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["structure", "step", "loss", "j_gap"])
-            for row in rows:
-                for step, loss in row.report.loss_history:
-                    writer.writerow([
-                        row.structure, step, repr(loss), repr(loss - case.j_exact_analytic),
-                    ])
+        _write_csv(os.path.join(args.out, f"table{case.index}.csv"),
+                   ["structure", "n_params", "j_final", "j_exact", "relative_error", "status"],
+                   ([row.structure, row.n_params, _fmt(row.j_final), _fmt(row.j_exact),
+                     _fmt(row.rel_error), row.status] for row in rows))
+        _write_csv(os.path.join(args.out, f"curves{case.index}.csv"),
+                   ["structure", "step", "loss", "j_gap"],
+                   ([row.structure, step, repr(loss), repr(loss - case.j_exact_analytic)]
+                    for row in rows for step, loss in row.report.loss_history))
         for row in rows:
             if row.status == "failed":
                 any_failed = True
@@ -253,20 +240,18 @@ def cmd_plot(args):
             rows = list(reader)
     except OSError as exc:
         raise CliError(str(exc))
-    if header == ["structure", "step", "loss", "j_gap"]:
-        series = {}
-        try:
-            for structure, step, loss, _gap in rows:
-                series.setdefault(structure, []).append((float(step), float(loss)))
-        except ValueError as exc:
-            raise CliError(f"malformed curves CSV: {exc}")
-    elif header == ["step", "loss", "j_gap"]:
-        try:
-            series = {"loss": [(float(s), float(l)) for s, l, _ in rows]}
-        except ValueError as exc:
-            raise CliError(f"malformed loss CSV: {exc}")
-    else:
+    # a bench curves CSV labels each row with its structure; a run's loss CSV is one series
+    if header not in (["structure", "step", "loss", "j_gap"], ["step", "loss", "j_gap"]):
         raise CliError(f"unrecognized CSV header {header}")
+    series = {}
+    for row in rows:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"row {row} has {len(row)} fields, not {len(header)}")
+            step, loss = float(row[-3]), float(row[-2])
+        except ValueError as exc:
+            raise CliError(f"malformed CSV: {exc}")
+        series.setdefault(row[0] if len(header) == 4 else "loss", []).append((step, loss))
     if not rows:
         raise CliError("CSV has no data rows")
     try:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the number checks of their configs."""
+
+import math
+import numbers
 
 
 class VaripadeError(Exception):
@@ -52,3 +55,15 @@ class EvaluationOverflowError(VaripadeError):
 
 class DegenerateReferenceError(VaripadeError):
     """Reference functional value too small to define a relative error."""
+
+
+def check_integer(name, value, minimum):
+    """Raise ValueError unless `value` is an integer (not a bool) >= minimum."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_finite(name, value):
+    """Raise ValueError unless `value` is a finite real number (not a bool)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")

@@ -95,16 +95,21 @@ class Call:
 class IntegrandExpr:
     """Parsed integrand; `text` is the original source, and its `str`.
 
-    The tree is compiled once, when the expression is built; `bind(x)`
-    evaluates the parts that depend on x alone on a block of grids at once.
+    The tree is compiled once, when the expression is built, into `run` and its
+    x-only `slots` (see `_compile`); `bind(x)` evaluates the slots on a block of grids.
     """
 
     root: object
     text: str
-    program: object = field(init=False, repr=False, compare=False)
+    slots: list = field(init=False, repr=False, compare=False)
+    run: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "program", _Program(self.root))
+        slots = []
+        reads, run = _compile(self.root, slots)
+        # F is taken as an operand of y: F of x alone becomes a slot, a constant F a number
+        object.__setattr__(self, "run", _operand(reads, run, slots, _VAR_READS["y"]))
+        object.__setattr__(self, "slots", slots)
 
     def __reduce__(self):
         # the compiled closures do not pickle; an unpickled copy compiles again
@@ -118,9 +123,21 @@ class IntegrandExpr:
 
         The x-only values are computed once, for the whole block.
         """
-        program = self.program
-        xv = program.slot_values(x)
-        return [program.bind(x[k, ...], [v[k, ...] for v in xv]) for k in range(x.shape[0])]
+        with np.errstate(all="ignore"):
+            xv = [slot(x, None, None, None)[0] for slot in self.slots]
+        return [self._evaluator(x[k, ...], [v[k, ...] for v in xv]) for k in range(x.shape[0])]
+
+    def _evaluator(self, x, xv):
+        """The evaluator on grid x, whose slot values are xv."""
+        run = self.run
+
+        def evaluate(y, dy):
+            # an infinite or NaN intermediate is reported by the finiteness checks
+            with np.errstate(all="ignore"):
+                f, f_y, f_dy = run(x, xv, y, dy)
+            return _on_grid(f, x), _on_grid(f_y, x), _on_grid(f_dy, x)
+
+        return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -480,36 +497,6 @@ def _const_pow(left, exponent):
 
 
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _var_pow}
-
-
-class _Program:
-    """An integrand tree compiled once into closures (see `_compile`)."""
-
-    def __init__(self, root):
-        self.slots = []
-        reads, run = _compile(root, self.slots)
-        if not reads & {"y", "dy"}:
-            # F of x alone: all of it is computed when a grid is bound
-            self.slots.append(run)
-            i = len(self.slots) - 1
-            run = lambda x, xv, y, dy: (xv[i], None, None)  # noqa: E731
-        self.run = run
-
-    def slot_values(self, x):
-        with np.errstate(all="ignore"):
-            return [slot(x, None, None, None)[0] for slot in self.slots]
-
-    def bind(self, x, xv):
-        """The evaluator on grid x, whose slot values are xv."""
-        run = self.run
-
-        def evaluate(y, dy):
-            # an infinite or NaN intermediate is reported by the finiteness checks
-            with np.errstate(all="ignore"):
-                f, f_y, f_dy = run(x, xv, y, dy)
-            return _on_grid(f, x), _on_grid(f_y, x), _on_grid(f_dy, x)
-
-        return evaluate
 
 
 def _on_grid(t, x):

@@ -26,7 +26,6 @@ for those rows, read by the step preconditioner and the gradient tests.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -34,7 +33,7 @@ import numpy as np
 
 # compose_final_many is not called here, but perfbench/tracing.py wraps it in this namespace
 from .boundary import BoundaryCondition, BoundaryTables, compose_final_many  # noqa: F401
-from .errors import EvaluationOverflowError
+from .errors import EvaluationOverflowError, check_integer
 from .expressions import IntegrandExpr, eval_integrand_many
 from .families import family_forward, family_tables, param_count, table_row
 
@@ -44,6 +43,11 @@ class Problem:
     integrand: IntegrandExpr
     bc: BoundaryCondition
     name: str = ""
+
+    def __post_init__(self):
+        for name, kind in (("integrand", IntegrandExpr), ("bc", BoundaryCondition)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,7 @@ def sample_grid(bc, n, mode="midpoint", seed=0):
               gives a (K, n) block of grids, row k drawn exactly as seed[k]
               alone would draw it.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"need at least one sample point, got {n}")
+    check_integer("n", n, 1)
     length = bc.x_b - bc.x_a
     if mode == "midpoint":
         points = bc.x_a + (np.arange(1, n + 1) - 0.5) * (length / n)

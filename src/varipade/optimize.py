@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .boundary import _finite, compose_final_many
-from .errors import EvaluationOverflowError, VaripadeError
+from .boundary import compose_final_many
+from .errors import EvaluationOverflowError, VaripadeError, check_finite, check_integer
 from .families import init_kept, init_params, param_count
 from .loss import Plan, loss_and_grad, sample_grid
 
@@ -57,23 +56,14 @@ class TrainConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.grid_mode not in ("midpoint", "random"):
             raise ValueError(f"unknown grid_mode {self.grid_mode!r}")
-        for name in ("steps", "grid_n", "record_every", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, minimum in (("steps", 0), ("grid_n", 1), ("record_every", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), minimum)
         for name in ("train_exponents", "precondition"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if not _finite(self.learning_rate):
-            raise ValueError(f"learning_rate must be a finite number, got {self.learning_rate!r}")
+        check_finite("learning_rate", self.learning_rate)
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.grid_n < 1 or self.record_every < 1:
-            raise ValueError("grid_n and record_every must be positive")
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
 
 
 @dataclass(frozen=True)

@@ -13,20 +13,28 @@ _WIDTH, _HEIGHT = 720, 480
 _ML, _MR, _MT, _MB = 70, 180, 30, 50  # margins; right one holds the legend
 
 
+# An axis forms half its span, hi / 2 - lo / 2, since hi - lo can overflow for finite
+# values; halving is exact, so every ratio and comparison is that of the whole span.
+
 def _ticks(lo, hi, count=5):
-    span = hi - lo
-    step = 10 ** math.floor(math.log10(span / count))
+    half = hi / 2 - lo / 2
+    step = 10 ** math.floor(math.log10(half / (count / 2)))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= count:
+        if half / (step * mult) <= count / 2:
             step *= mult
             break
-    start = math.ceil(lo / step) * step
     ticks = []
-    t = start
-    while t <= hi + 1e-12 * span:
+    t = math.ceil(lo / step) * step
+    while t / 2 <= hi / 2 + 1e-12 * half:
         ticks.append(t)
         t += step
     return ticks
+
+
+def _scale(lo, hi, start, length):
+    """The map of [lo, hi] onto [start, start + length]."""
+    half = hi / 2 - lo / 2
+    return lambda v: start + (v / 2 - lo / 2) / half * length
 
 
 def write_curves_svg(series, path, logy=False, ylabel="loss"):
@@ -64,12 +72,8 @@ def write_curves_svg(series, path, logy=False, ylabel="loss"):
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB
 
-    def sx(x):
-        return _ML + (x - xlo) / (xhi - xlo) * pw
-
-    def sy(y):
-        return _MT + (yhi - y) / (yhi - ylo) * ph
-
+    sx = _scale(xlo, xhi, _ML, pw)
+    sy = _scale(yhi, ylo, _MT, ph)  # y grows downward
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',

@@ -2,15 +2,14 @@
 
 Each case carries the integrand, the boundary conditions, the known exact
 solution, and the analytic value of the functional on it. Case 3 also
-records the value printed in the source tables (5/3) alongside the value
-obtained by direct integration of the stated functional on the stated
-solution (1/6); reports show both rather than choosing silently.
+keeps the value printed in the source tables (5/3) as `j_paper_reported`;
+reports measure errors against `j_exact_analytic` alone, which is the
+direct integration of the stated functional on the stated solution (1/6).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -19,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .boundary import BoundaryCondition
-from .errors import DegenerateReferenceError
+from .errors import DegenerateReferenceError, check_integer
 from .expressions import parse_integrand
 from .families import param_count, parse_structure
 from .loss import Problem
@@ -185,8 +184,7 @@ class MatrixReport:
         return [r for r in self.rows if r.case_index == index]
 
 
-def _run_pair(case, structure, config, n_seeds):
-    spec = parse_structure(structure)
+def _run_pair(case, structure, spec, config, n_seeds):
     reports = []
     for k in range(n_seeds):
         reports.append(train(case.problem, spec, replace(config, seed=config.seed + k)))
@@ -218,22 +216,20 @@ def run_matrix(cases, structures=None, config=TrainConfig(), n_seeds=1, parallel
     `structures=None` uses each case's default structure list; otherwise the
     given list is applied to every case. Pair failures are recorded in their
     row and the matrix continues. Rows come back sorted by case, then by
-    position in the structure list, regardless of execution order.
+    position in the structure list, regardless of execution order. Every
+    structure is parsed before any pair trains.
     """
     if not cases or (structures is not None and not structures):
         raise ValueError("cases and structures must be nonempty")
-    for name, value in (("n_seeds", n_seeds), ("parallel", parallel)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    pairs = []
-    for case in cases:
-        for pos, structure in enumerate(structures or case.default_structures):
-            pairs.append((case, pos, structure))
+    check_integer("n_seeds", n_seeds, 1)
+    check_integer("parallel", parallel, 1)
     # pairs are built in (case, structure-position) order and both execution
     # paths preserve it, so the report is order-deterministic
+    pairs = [(case, structure, parse_structure(structure))
+             for case in cases for structure in structures or case.default_structures]
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(lambda p: _run_pair(p[0], p[2], config, n_seeds), pairs))
+            rows = list(pool.map(lambda p: _run_pair(*p, config, n_seeds), pairs))
     else:
-        rows = [_run_pair(case, structure, config, n_seeds) for case, _, structure in pairs]
+        rows = [_run_pair(*p, config, n_seeds) for p in pairs]
     return MatrixReport(rows=rows)

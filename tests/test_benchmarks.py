@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import varipade
 from varipade import (
     DegenerateReferenceError,
+    StructureSyntaxError,
     TrainConfig,
     builtin_cases,
     builtin_names,
@@ -77,13 +79,20 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("n_seeds", [0, -1, 1.5, True])
     def test_rejects_a_seed_count_below_one_or_no_integer(self, n_seeds):
-        with pytest.raises(ValueError, match="n_seeds must be a positive integer"):
+        with pytest.raises(ValueError, match="^n_seeds must be an integer >= 1, got "):
             run_matrix(builtin_cases()[:1], structures=["Poly-3"], n_seeds=n_seeds)
 
     @pytest.mark.parametrize("parallel", [0, -3, 2.5, True])
     def test_rejects_a_parallel_below_one_or_no_integer(self, parallel):
-        with pytest.raises(ValueError, match="parallel must be a positive integer"):
+        with pytest.raises(ValueError, match="^parallel must be an integer >= 1, got "):
             run_matrix(builtin_cases()[:1], structures=["Poly-3"], parallel=parallel)
+
+    def test_every_structure_is_parsed_before_any_pair_trains(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(varipade.problems, "train", lambda *args: calls.append(args))
+        with pytest.raises(StructureSyntaxError):
+            run_matrix(builtin_cases()[:1], ["Leg-4", "Frob-2"], TrainConfig(steps=3000, grid_n=500))
+        assert calls == []
 
     def test_small_matrix(self):
         config = TrainConfig(steps=300, grid_n=100, record_every=100)

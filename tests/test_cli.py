@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -143,11 +144,11 @@ class TestRun:
         ({"problem": 5}, "config field 'problem' must be an object"),
         ({"problem": {"integrand": 5, "x_a": 0, "x_b": 1, "y_a": 0, "y_b": 1}}, "integrand must be a string"),
         ({"problem": {"integrand": "dy^2", "x_a": [0], "x_b": 1, "y_a": 0, "y_b": 1}},
-         "custom problem bounds must be numbers"),
+         "x_a must be a finite number, got [0]"),
         ({"problem": {"integrand": "dy^2", "x_a": "0", "x_b": 1, "y_a": 0, "y_b": 1}},
-         "custom problem bounds must be numbers: x_a = '0'"),
+         "x_a must be a finite number, got '0'"),
         ({"problem": {"integrand": "dy^2", "x_a": 0, "x_b": True, "y_a": 0, "y_b": 1}},
-         "custom problem bounds must be numbers: x_b = True"),
+         "x_b must be a finite number, got True"),
         ("not an object", "must be a JSON object"),
         ([1, 2], "must be a JSON object"),
     ])
@@ -299,6 +300,16 @@ class TestPlot:
         assert main(["plot", str(src), str(dst)]) == 1
         assert "no plottable points" in capsys.readouterr().err
         assert not dst.exists()
+
+    def test_a_finite_loss_range_that_overflows(self, tmp_path):
+        # 1e308 - (-1e308) overflows, though both losses are finite
+        src = tmp_path / "loss.csv"
+        src.write_text("step,loss,j_gap\n0,1e308,\n1,-1e308,\n")
+        dst = tmp_path / "loss.svg"
+        assert main(["plot", str(src), str(dst)]) == 0
+        svg = dst.read_text()
+        assert svg.count("<polyline") == 1
+        assert not re.search(r"(?<![a-z])(nan|inf)", svg, re.IGNORECASE)
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["plot", str(tmp_path / "none.csv"), str(tmp_path / "x.svg")]) == 1

@@ -27,24 +27,11 @@ class TestParsing:
         expr = parse_integrand("sqrt(1 + dy^2)")
         assert at(expr, 0.0, 0.0, 0.0)[0][0] == 1.0
 
-    def test_round_trip(self):
-        for text in [
-            "sqrt(1 + dy^2)",
-            "y * dy^3",
-            "dy^2 + x * dy",
-            "dy^2 - 2 * y * cos(x + pi/2)",
-            "dy^2 - y^2 - 2*x*y",
-            "-x^2 + (y - dy) / (2.5 + y^2)",
-            "exp(-x) * sin(y)",
-            "(x + y)^3",
-            "2^-2",
-            " dy ^2 +x*dy ",
-            "sqrt( 1+dy^2 )\t",
-        ]:
-            expr = parse_integrand(text)
-            assert str(expr) == text
-            assert parse_integrand(str(expr)).root == expr.root, text
+    def test_str_is_the_source_text(self):
         # spacing is kept in the text and ignored by the tree
+        for text in [" dy ^2 +x*dy ", "sqrt( 1+dy^2 )\t", "y*dy^3", "  -x^2+( y -dy)/(2.5+y^2)\n",
+                     "2 ^ -2", "exp(-x)*sin( y )", "\tdy^2-2*y*cos(x+pi/2)"]:
+            assert str(parse_integrand(text)) == text
         assert parse_integrand(" dy ^2 +x*dy ").root == parse_integrand("dy^2 + x * dy").root
 
     def test_pickle_round_trip_compiles_again(self):

@@ -28,6 +28,18 @@ from varipade.boundary import BoundaryTables
 from test_families import NARROW_RHO, OFF_UNIT
 
 
+class TestProblem:
+    # a malformed problem is rejected when it is built, so that train cannot meet it
+    @pytest.mark.parametrize("field, integrand, bc", [
+        ("integrand", "dy^2", BoundaryCondition(0.0, 1.0, 0.0, 1.0)),
+        ("integrand", None, BoundaryCondition(0.0, 1.0, 0.0, 1.0)),
+        ("bc", parse_integrand("dy^2"), (0.0, 1.0, 0.0, 1.0)),
+    ])
+    def test_rejects_a_field_of_the_wrong_type(self, field, integrand, bc):
+        with pytest.raises(ValueError, match=f"^{field} must be of type "):
+            Problem(integrand, bc)
+
+
 class TestSampleGrid:
     def test_midpoints_unit_interval(self):
         grid = sample_grid(BoundaryCondition(0.0, 1.0, 0.0, 0.0), 2)

@@ -34,6 +34,11 @@ def test_star_import_exports_the_public_names_and_no_module():
     assert [name for name, value in namespace.items() if isinstance(value, types.ModuleType)] == []
 
 
+def test_every_exported_name_is_in_the_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in varipade.__all__ if f"`{name}" not in readme] == []
+
+
 def test_benchmark_smoke_run_passes():
     # perfbench/ wraps library attributes by name and calls the library directly,
     # so a refactor that renames or re-signs one of them fails here
